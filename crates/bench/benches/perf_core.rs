@@ -32,15 +32,13 @@
 //! measurement noise of the twin.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use eqimpact_core::closed_loop::{
-    AiSystem, DynLoopRunner, Feedback, FeedbackFilter, LoopBuilder, LoopRunner, MeanFilter,
-    UserPopulation,
-};
+use eqimpact_core::closed_loop::{AiSystem, Feedback, LoopBuilder, MeanFilter, UserPopulation};
 use eqimpact_core::features::FeatureMatrix;
 use eqimpact_core::recorder::RecordPolicy;
 use eqimpact_core::shard::{
     shard_bounds, ColsMut, ColsView, PopulationShard, RowStreams, ShardableAi, ShardablePopulation,
 };
+use eqimpact_core::tail::{StepTail, TailHooks};
 use eqimpact_credit::sim::{run_trial, CreditConfig, LenderKind};
 use eqimpact_markov::ifs::{affine1d, Ifs};
 use eqimpact_markov::invariant::estimate_invariant_measure;
@@ -63,21 +61,6 @@ impl AiSystem for ThresholdAi {
                 .iter()
                 .map(|&v| if v > 0.5 { 1.0 } else { 0.3 }),
         );
-    }
-    fn retrain(&mut self, _k: usize, _feedback: &Feedback) {}
-}
-
-/// The same AI through the owned-return path (allocates per step), as the
-/// pre-redesign boxed runner did.
-struct ThresholdAiAlloc;
-
-impl AiSystem for ThresholdAiAlloc {
-    fn signals(&mut self, _k: usize, visible: &FeatureMatrix) -> Vec<f64> {
-        visible
-            .col(0)
-            .iter()
-            .map(|&v| if v > 0.5 { 1.0 } else { 0.3 })
-            .collect()
     }
     fn retrain(&mut self, _k: usize, _feedback: &Feedback) {}
 }
@@ -117,48 +100,7 @@ impl UserPopulation for SyntheticUsers {
     }
 }
 
-/// [`MeanFilter`] forced through the owned-return path: only `apply` is
-/// implemented, so the runner's defaulted `apply_into` replaces the whole
-/// recycled [`Feedback`] with a freshly allocated one every step — the
-/// pre-redesign filter cost (per-step per_user/visible/signals/actions
-/// allocations).
-struct MeanFilterAlloc(MeanFilter);
-
-impl FeedbackFilter for MeanFilterAlloc {
-    fn apply(
-        &mut self,
-        k: usize,
-        visible: &FeatureMatrix,
-        signals: &[f64],
-        actions: &[f64],
-    ) -> Feedback {
-        self.0.apply(k, visible, signals, actions)
-    }
-}
-
-/// The same population through the owned-return path (allocates per step).
-struct SyntheticUsersAlloc {
-    inner: SyntheticUsers,
-}
-
-impl UserPopulation for SyntheticUsersAlloc {
-    fn user_count(&self) -> usize {
-        self.inner.n
-    }
-    fn observe(&mut self, k: usize, rng: &mut SimRng) -> FeatureMatrix {
-        let mut out = FeatureMatrix::default();
-        self.inner.observe_into(k, rng, &mut out);
-        out
-    }
-    fn respond(&mut self, k: usize, signals: &[f64], rng: &mut SimRng) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.inner.respond_into(k, signals, rng, &mut out);
-        out
-    }
-}
-
-/// P0: the API-redesign headline — generic in-place runner vs the fully
-/// boxed owned-return runner (the pre-redesign shape) on the same
+/// P0: loop step throughput of the generic in-place runner on a
 /// synthetic loop.
 fn bench_loop_api(c: &mut Criterion) {
     let mut group = c.benchmark_group("perf/loop_api");
@@ -172,20 +114,6 @@ fn bench_loop_api(c: &mut Criterion) {
                     .delay(1)
                     .record(RecordPolicy::Thin)
                     .build();
-                runner.run(steps, &mut SimRng::new(42))
-            })
-        });
-        group.bench_function(BenchmarkId::new("dyn_boxed_alloc", &label), |b| {
-            b.iter(|| {
-                let mut runner: DynLoopRunner = LoopRunner::new(
-                    Box::new(ThresholdAiAlloc),
-                    Box::new(SyntheticUsersAlloc {
-                        inner: SyntheticUsers { n: users },
-                    }),
-                    Box::new(MeanFilterAlloc(MeanFilter::default())),
-                    1,
-                );
-                runner.set_record_policy(RecordPolicy::Thin);
                 runner.run(steps, &mut SimRng::new(42))
             })
         });
@@ -306,7 +234,7 @@ impl ShardableAi for ShardThresholdAi {
 }
 
 /// One timed sharded run (`shards == 0` times the sequential
-/// [`LoopRunner`] instead — the pre-sharding hot path).
+/// [`LoopRunner`](eqimpact_core::LoopRunner) instead — the pre-sharding hot path).
 fn time_one_run(users: usize, steps: usize, shards: usize) -> f64 {
     let builder = LoopBuilder::new(ShardThresholdAi, ShardSynthUsers { n: users })
         .filter(MeanFilter::default())
@@ -760,24 +688,26 @@ fn bench_columnar(_c: &mut Criterion) {
     println!("perf/columnar: wrote {path}");
 }
 
-/// A hand-rolled uninstrumented twin of [`LoopRunner::run`]: the same
+/// A hand-rolled uninstrumented twin of [`LoopRunner::run`](eqimpact_core::LoopRunner::run): the same
 /// hooks in the same order with the same buffer recycling, but with no
 /// telemetry statements compiled in at all — the baseline the
-/// disabled-recorder overhead is measured against. Kept bit-identical to
-/// the real runner (asserted in [`bench_observability`] before timing).
+/// disabled-recorder overhead is measured against. Its tail is the
+/// shared [`StepTail`] under untimed hooks, which compile its spans out.
+/// Kept bit-identical to the real runner (asserted in
+/// [`bench_observability`] before timing).
 fn uninstrumented_twin(users: usize, steps: usize) -> eqimpact_core::recorder::LoopRecord {
-    use std::collections::VecDeque;
+    struct Untimed;
+    impl TailHooks for Untimed {
+        type Error = std::convert::Infallible;
+    }
 
     let mut ai = ThresholdAi;
     let mut population = SyntheticUsers { n: users };
-    let mut filter = MeanFilter::default();
-    let delay = 1usize;
+    let mut tail = StepTail::new(MeanFilter::default(), 1, RecordPolicy::Thin);
     let mut rng = SimRng::new(42);
     let n = population.user_count();
     let mut record = eqimpact_core::recorder::LoopRecord::with_policy(n, RecordPolicy::Thin);
     record.reserve(steps);
-    let mut pending: VecDeque<Feedback> = VecDeque::new();
-    let mut spare: Vec<Feedback> = Vec::new();
     let mut visible = FeatureMatrix::default();
     let mut signals = Vec::new();
     let mut actions = Vec::new();
@@ -785,21 +715,22 @@ fn uninstrumented_twin(users: usize, steps: usize) -> eqimpact_core::recorder::L
         population.observe_into(k, &mut rng, &mut visible);
         ai.signals_into(k, &visible, &mut signals);
         population.respond_into(k, &signals, &mut rng, &mut actions);
-        let mut feedback = spare.pop().unwrap_or_default();
-        filter.apply_into(k, &visible, &signals, &actions, &mut feedback);
-        record.push_step(&signals, &actions, &feedback.per_user);
-        pending.push_back(feedback);
-        if pending.len() > delay {
-            let due = pending.pop_front().expect("non-empty by check");
-            ai.retrain(k, &due);
-            spare.push(due);
-        }
+        let Ok(()) = tail.step(
+            k,
+            &mut ai,
+            &visible,
+            &signals,
+            &actions,
+            &mut record,
+            &mut (),
+            &mut Untimed,
+        );
     }
     record
 }
 
 /// One timed run of the observability bench. Arm 0 is the uninstrumented
-/// twin, arm 1 the instrumented [`LoopRunner`] with no recorder
+/// twin, arm 1 the instrumented [`LoopRunner`](eqimpact_core::LoopRunner) with no recorder
 /// installed, arm 2 the same runner with the recorder enabled.
 fn time_obs_run(users: usize, steps: usize, arm: usize) -> f64 {
     if arm == 0 {

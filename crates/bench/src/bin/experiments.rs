@@ -494,7 +494,7 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
                 "`run --all` runs every scenario in full; drop the scenario/artifact names",
             ));
         }
-        registry::scenarios().to_vec()
+        registry::scenarios().collect()
     } else {
         let name = flags.scenario.clone().ok_or_else(|| {
             CliError::usage(format!(
@@ -577,7 +577,6 @@ fn cmd_record(args: &[String]) -> Result<(), CliError> {
         CliError::usage(format!(
             "`record` needs a scenario name (traceable scenarios: {})",
             registry::tracers()
-                .iter()
                 .map(|t| t.name())
                 .collect::<Vec<_>>()
                 .join(", ")
@@ -591,7 +590,6 @@ fn cmd_record(args: &[String]) -> Result<(), CliError> {
         return Err(CliError::unsupported(format!(
             "scenario `{name}` does not support trace recording (traceable scenarios: {})",
             registry::tracers()
-                .iter()
                 .map(|t| t.name())
                 .collect::<Vec<_>>()
                 .join(", ")
@@ -600,7 +598,7 @@ fn cmd_record(args: &[String]) -> Result<(), CliError> {
     if registry::find_tracer(&name).is_none() {
         return Err(CliError::unsupported(format!(
             "scenario `{name}` records traces but has no registered replayer \
-             (add it to registry::tracers())"
+             (give its registry entry a tracer)"
         )));
     }
     // Same exit-3 capability gate as `run`: a sharded record of a
@@ -709,7 +707,6 @@ fn cmd_replay(args: &[String]) -> Result<(), CliError> {
              (replayable scenarios: {})",
             header.scenario,
             registry::tracers()
-                .iter()
                 .map(|t| t.name())
                 .collect::<Vec<_>>()
                 .join(", ")
@@ -849,7 +846,7 @@ fn cmd_sweep(args: &[String]) -> Result<(), CliError> {
             }
         }
     }
-    let sweep_names: Vec<&str> = registry::sweeps().iter().map(|s| s.name()).collect();
+    let sweep_names: Vec<&str> = registry::sweeps().map(|s| s.name()).collect();
     let name = scenario.ok_or_else(|| {
         CliError::usage(format!(
             "`sweep` needs a scenario name (sweepable scenarios: {})",
@@ -1002,7 +999,7 @@ fn cmd_certify(args: &[String]) -> Result<(), CliError> {
             }
         }
     }
-    let certify_names: Vec<&str> = registry::certifies().iter().map(|c| c.name()).collect();
+    let certify_names: Vec<&str> = registry::certifies().map(|c| c.name()).collect();
     let name = scenario.ok_or_else(|| {
         CliError::usage(format!(
             "`certify` needs a scenario name (certifiable scenarios: {})",

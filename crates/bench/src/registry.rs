@@ -6,8 +6,10 @@
 //! plug in through the typed `Scenario` trait, while the ablation suite
 //! and the sharding perf measurement implement the object-safe face
 //! directly (they are not trials-of-one-outcome workloads). Adding a
-//! scenario is one `impl` plus one line in [`scenarios`]; the CLI, the
-//! artifact validation and the CI smoke matrix pick it up automatically.
+//! scenario is one `impl` plus one [`Entry`] in [`entries`], naming any
+//! trace, sweep and certify capabilities next to the scenario; the CLI,
+//! the artifact validation and the CI smoke matrix pick it up
+//! automatically.
 
 use crate::experiments::{
     ablate_delay, ablate_filter, ablate_integral, ablate_markov, ablate_policy, perf_shard,
@@ -386,37 +388,82 @@ fn validate_unique_names(names: &[&str]) -> Result<(), String> {
     Ok(())
 }
 
-/// Every registered scenario, in listing order.
+/// One registered scenario and the capabilities its recorded traces
+/// unlock.
+pub struct Entry {
+    /// The scenario itself.
+    pub scenario: &'static dyn DynScenario,
+    /// Re-drives and off-policy-evaluates the scenario's traces
+    /// (`experiments record` / `replay`).
+    pub tracer: Option<&'static dyn TraceReplayer>,
+    /// Sweeps candidate grids over the traces (`experiments sweep`).
+    pub sweep: Option<&'static dyn SweepTarget>,
+    /// Turns the traces into verdict artifacts (`experiments certify`).
+    pub certify: Option<&'static dyn CertifyTarget>,
+}
+
+impl Entry {
+    /// A scenario without trace capabilities.
+    const fn bare(scenario: &'static dyn DynScenario) -> Entry {
+        Entry {
+            scenario,
+            tracer: None,
+            sweep: None,
+            certify: None,
+        }
+    }
+}
+
+/// Every registered scenario with its capabilities, in listing order.
 ///
 /// # Panics
 /// Panics (once, at first use) when two registered scenarios share a
 /// name — a duplicate would make [`find`] and the CLI ambiguous, so the
 /// registry refuses to construct.
-pub fn scenarios() -> &'static [&'static dyn DynScenario] {
-    static REGISTRY: [&dyn DynScenario; 6] = [
-        &CreditScenario,
-        &HiringScenario,
-        &AblationScenario,
-        &PerfShardScenario,
-        &PerfTraceScenario,
-        &PerfSweepScenario,
+pub fn entries() -> &'static [Entry] {
+    static ENTRIES: [Entry; 6] = [
+        Entry {
+            scenario: &CreditScenario,
+            tracer: Some(&CreditTracer),
+            sweep: Some(&CreditSweep),
+            certify: Some(&CreditCertify),
+        },
+        Entry {
+            scenario: &HiringScenario,
+            tracer: Some(&HiringTracer),
+            sweep: Some(&HiringSweep),
+            certify: Some(&HiringCertify),
+        },
+        Entry::bare(&AblationScenario),
+        Entry::bare(&PerfShardScenario),
+        Entry::bare(&PerfTraceScenario),
+        Entry::bare(&PerfSweepScenario),
     ];
     static VALIDATED: std::sync::OnceLock<()> = std::sync::OnceLock::new();
     VALIDATED.get_or_init(|| {
-        let names: Vec<&str> = REGISTRY.iter().map(|s| s.name()).collect();
+        let names: Vec<&str> = ENTRIES.iter().map(|e| e.scenario.name()).collect();
         validate_unique_names(&names).expect("scenario registry");
     });
-    &REGISTRY
+    &ENTRIES
+}
+
+fn find_entry(name: &str) -> Option<&'static Entry> {
+    entries().iter().find(|e| e.scenario.name() == name)
+}
+
+/// Every registered scenario, in listing order.
+pub fn scenarios() -> impl Iterator<Item = &'static dyn DynScenario> {
+    entries().iter().map(|e| e.scenario)
 }
 
 /// Looks a scenario up by its registry name.
 pub fn find(name: &str) -> Option<&'static dyn DynScenario> {
-    scenarios().iter().copied().find(|s| s.name() == name)
+    find_entry(name).map(|e| e.scenario)
 }
 
 /// The registered scenario names, in listing order.
 pub fn names() -> Vec<&'static str> {
-    scenarios().iter().map(|s| s.name()).collect()
+    scenarios().map(|s| s.name()).collect()
 }
 
 /// The registered scenario names, deterministically sorted — the
@@ -428,42 +475,34 @@ pub fn sorted_names() -> Vec<&'static str> {
     names
 }
 
-/// Every registered trace replayer (the scenarios that can re-drive and
-/// off-policy-evaluate their recorded traces), in listing order.
-pub fn tracers() -> &'static [&'static dyn TraceReplayer] {
-    static TRACERS: [&dyn TraceReplayer; 2] = [&CreditTracer, &HiringTracer];
-    &TRACERS
+/// Every registered trace replayer, in listing order.
+pub fn tracers() -> impl Iterator<Item = &'static dyn TraceReplayer> {
+    entries().iter().filter_map(|e| e.tracer)
 }
 
 /// Looks a trace replayer up by its scenario name.
 pub fn find_tracer(name: &str) -> Option<&'static dyn TraceReplayer> {
-    tracers().iter().copied().find(|t| t.name() == name)
+    find_entry(name).and_then(|e| e.tracer)
 }
 
-/// Every registered sweep target (the scenarios whose recorded traces
-/// the counterfactual lab can sweep candidate grids over), in listing
-/// order.
-pub fn sweeps() -> &'static [&'static dyn SweepTarget] {
-    static SWEEPS: [&dyn SweepTarget; 2] = [&CreditSweep, &HiringSweep];
-    &SWEEPS
+/// Every registered sweep target, in listing order.
+pub fn sweeps() -> impl Iterator<Item = &'static dyn SweepTarget> {
+    entries().iter().filter_map(|e| e.sweep)
 }
 
 /// Looks a sweep target up by its scenario name.
 pub fn find_sweep(name: &str) -> Option<&'static dyn SweepTarget> {
-    sweeps().iter().copied().find(|s| s.name() == name)
+    find_entry(name).and_then(|e| e.sweep)
 }
 
-/// Every registered certification target (the scenarios whose recorded
-/// traces the certification plane can turn into verdict artifacts), in
-/// listing order.
-pub fn certifies() -> &'static [&'static dyn CertifyTarget] {
-    static CERTIFIES: [&dyn CertifyTarget; 2] = [&CreditCertify, &HiringCertify];
-    &CERTIFIES
+/// Every registered certification target, in listing order.
+pub fn certifies() -> impl Iterator<Item = &'static dyn CertifyTarget> {
+    entries().iter().filter_map(|e| e.certify)
 }
 
 /// Looks a certification target up by its scenario name.
 pub fn find_certify(name: &str) -> Option<&'static dyn CertifyTarget> {
-    certifies().iter().copied().find(|c| c.name() == name)
+    find_entry(name).and_then(|e| e.certify)
 }
 
 #[cfg(test)]
@@ -517,11 +556,16 @@ mod tests {
 
     #[test]
     fn tracers_cover_the_closed_loop_scenarios() {
-        let names: Vec<&str> = tracers().iter().map(|t| t.name()).collect();
+        let names: Vec<&str> = tracers().map(|t| t.name()).collect();
         assert_eq!(names, vec!["credit", "hiring"]);
-        // Every tracer names a registered scenario and offers policies.
+        // Every tracer sits on its own scenario's entry and offers
+        // policies.
         for tracer in tracers() {
             assert!(find(tracer.name()).is_some(), "{}", tracer.name());
+            assert_eq!(
+                find_tracer(tracer.name()).map(|t| t.name()),
+                Some(tracer.name())
+            );
             assert!(!tracer.policies().is_empty());
         }
         assert!(find_tracer("credit").is_some());
@@ -534,11 +578,15 @@ mod tests {
         // record replayable traces — a sweep without a tracer could
         // never get input, a tracer without a sweep would be a silent
         // gap in `experiments sweep`.
-        let sweep_names: Vec<&str> = sweeps().iter().map(|s| s.name()).collect();
-        let tracer_names: Vec<&str> = tracers().iter().map(|t| t.name()).collect();
+        let sweep_names: Vec<&str> = sweeps().map(|s| s.name()).collect();
+        let tracer_names: Vec<&str> = tracers().map(|t| t.name()).collect();
         assert_eq!(sweep_names, tracer_names);
         for sweep in sweeps() {
             assert!(find(sweep.name()).is_some(), "{}", sweep.name());
+            assert_eq!(
+                find_sweep(sweep.name()).map(|s| s.name()),
+                Some(sweep.name())
+            );
             assert!(!sweep.default_grid().is_empty(), "{}", sweep.name());
             assert!(!sweep.known_policies().is_empty(), "{}", sweep.name());
             assert!(!sweep.known_filters().is_empty(), "{}", sweep.name());
@@ -561,11 +609,15 @@ mod tests {
         // record replayable traces — a certify target without a tracer
         // could never get input, a tracer without a certify target would
         // be a silent gap in `experiments certify`.
-        let certify_names: Vec<&str> = certifies().iter().map(|c| c.name()).collect();
-        let tracer_names: Vec<&str> = tracers().iter().map(|t| t.name()).collect();
+        let certify_names: Vec<&str> = certifies().map(|c| c.name()).collect();
+        let tracer_names: Vec<&str> = tracers().map(|t| t.name()).collect();
         assert_eq!(certify_names, tracer_names);
         for target in certifies() {
             assert!(find(target.name()).is_some(), "{}", target.name());
+            assert_eq!(
+                find_certify(target.name()).map(|c| c.name()),
+                Some(target.name())
+            );
             let spec = target.spec();
             assert!(spec.bins > 0, "{}", target.name());
             assert!(spec.state_lo < spec.state_hi, "{}", target.name());
@@ -585,7 +637,7 @@ mod tests {
             assert_eq!(
                 scenario.supports_tracing(),
                 find_tracer(scenario.name()).is_some(),
-                "scenario `{}`: supports_tracing vs tracers() mismatch",
+                "scenario `{}`: supports_tracing vs registered tracer mismatch",
                 scenario.name()
             );
         }

@@ -28,9 +28,9 @@
 //!    renders a deterministic [`CertificateReport`] (JSON + aligned
 //!    text), byte-identical across runs and thread counts.
 //!
-//! Workload crates opt in by implementing [`CertifyTarget`] and
-//! registering in the bench registry's `certifies()` table, which gives
-//! them the `experiments certify <scenario>` CLI path for free.
+//! Workload crates opt in by implementing [`CertifyTarget`] and naming
+//! it as the `certify` capability of their bench registry entry, which
+//! gives them the `experiments certify <scenario>` CLI path for free.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -10,16 +10,15 @@
 //! the blocks override it.
 //!
 //! [`LoopRunner<S, P, F>`] is generic over its blocks (static dispatch on
-//! the hot path); [`DynLoopRunner`] is the type-erased form for callers
-//! that choose blocks at runtime, and produces bit-identical records for
-//! the same seed.
+//! the hot path); the feedback half of each step (filter, record, delay
+//! line, retrain) is the shared [`StepTail`].
 
 use crate::checkpoint::ModelCheckpoint;
 use crate::features::FeatureMatrix;
 use crate::recorder::{LoopRecord, RecordPolicy, StepSink};
+use crate::tail::{LiveHooks, StepTail};
 use eqimpact_stats::SimRng;
 use eqimpact_telemetry::metrics as tm;
-use std::collections::VecDeque;
 
 /// The filtered feedback package delivered (after the delay) to the AI
 /// system for retraining.
@@ -196,8 +195,8 @@ pub trait FeedbackFilter {
     }
 }
 
-// Boxed adapters: a `Box<dyn Block>` is itself a block, so the generic
-// runner subsumes the old fully-boxed construction (see [`DynLoopRunner`]).
+// A boxed AI system is itself an AI system, so workloads that pick their
+// AI at runtime (e.g. from a trace header) still drive the generic runners.
 
 impl<T: AiSystem + ?Sized> AiSystem for Box<T> {
     fn signals(&mut self, k: usize, visible: &FeatureMatrix) -> Vec<f64> {
@@ -217,52 +216,6 @@ impl<T: AiSystem + ?Sized> AiSystem for Box<T> {
     }
     fn as_any(&self) -> Option<&dyn std::any::Any> {
         (**self).as_any()
-    }
-}
-
-impl<T: UserPopulation + ?Sized> UserPopulation for Box<T> {
-    fn user_count(&self) -> usize {
-        (**self).user_count()
-    }
-    fn observe(&mut self, k: usize, rng: &mut SimRng) -> FeatureMatrix {
-        (**self).observe(k, rng)
-    }
-    fn observe_into(&mut self, k: usize, rng: &mut SimRng, out: &mut FeatureMatrix) {
-        (**self).observe_into(k, rng, out)
-    }
-    fn respond(&mut self, k: usize, signals: &[f64], rng: &mut SimRng) -> Vec<f64> {
-        (**self).respond(k, signals, rng)
-    }
-    fn respond_into(&mut self, k: usize, signals: &[f64], rng: &mut SimRng, out: &mut Vec<f64>) {
-        (**self).respond_into(k, signals, rng, out)
-    }
-}
-
-impl<T: FeedbackFilter + ?Sized> FeedbackFilter for Box<T> {
-    fn apply(
-        &mut self,
-        k: usize,
-        visible: &FeatureMatrix,
-        signals: &[f64],
-        actions: &[f64],
-    ) -> Feedback {
-        (**self).apply(k, visible, signals, actions)
-    }
-    fn apply_into(
-        &mut self,
-        k: usize,
-        visible: &FeatureMatrix,
-        signals: &[f64],
-        actions: &[f64],
-        out: &mut Feedback,
-    ) {
-        (**self).apply_into(k, visible, signals, actions, out)
-    }
-    fn checkpoint_into(&self, out: &mut ModelCheckpoint) -> bool {
-        (**self).checkpoint_into(out)
-    }
-    fn restore_checkpoint(&mut self, checkpoint: &ModelCheckpoint) -> bool {
-        (**self).restore_checkpoint(checkpoint)
     }
 }
 
@@ -313,33 +266,23 @@ impl FeedbackFilter for MeanFilter {
     }
 }
 
-/// The loop runner: wires AI system, population, filter and a delay line
-/// of `delay` steps between observation and retraining. Generic over its
-/// blocks — the hot path is statically dispatched and, when the blocks
-/// implement their `*_into` hooks, allocation-free in steady state
-/// (observation, signal, action and feedback buffers are all recycled).
+/// The loop runner: wires AI system, population and the [`StepTail`]
+/// (filter plus a delay line of `delay` steps between observation and
+/// retraining). Generic over its blocks — the hot path is statically
+/// dispatched and, when the blocks implement their `*_into` hooks,
+/// allocation-free in steady state (observation, signal, action and
+/// feedback buffers are all recycled).
 ///
 /// Use [`LoopBuilder`] to construct one, or [`LoopRunner::new`] for the
-/// positional form. For runtime-chosen blocks, box them and use the
-/// [`DynLoopRunner`] alias — same runner, same record, dynamic dispatch.
+/// positional form.
 pub struct LoopRunner<S, P, F> {
     ai: S,
     population: P,
-    filter: F,
-    delay: usize,
-    policy: RecordPolicy,
-    pending: VecDeque<Feedback>,
-    spare: Vec<Feedback>,
+    tail: StepTail<F>,
     visible: FeatureMatrix,
     signals: Vec<f64>,
     actions: Vec<f64>,
 }
-
-/// The fully type-erased runner: every block boxed, blocks chosen at
-/// runtime. Produces bit-identical [`LoopRecord`]s to the generic form
-/// for the same seed.
-pub type DynLoopRunner =
-    LoopRunner<Box<dyn AiSystem>, Box<dyn UserPopulation>, Box<dyn FeedbackFilter>>;
 
 impl<S: AiSystem, P: UserPopulation, F: FeedbackFilter> LoopRunner<S, P, F> {
     /// Creates a runner. `delay = 0` retrains on the same step's feedback;
@@ -349,30 +292,11 @@ impl<S: AiSystem, P: UserPopulation, F: FeedbackFilter> LoopRunner<S, P, F> {
         LoopRunner {
             ai,
             population,
-            filter,
-            delay,
-            policy: RecordPolicy::Full,
-            pending: VecDeque::new(),
-            spare: Vec::new(),
+            tail: StepTail::new(filter, delay, RecordPolicy::Full),
             visible: FeatureMatrix::default(),
             signals: Vec::new(),
             actions: Vec::new(),
         }
-    }
-
-    /// The configured delay.
-    pub fn delay(&self) -> usize {
-        self.delay
-    }
-
-    /// The configured record policy.
-    pub fn record_policy(&self) -> RecordPolicy {
-        self.policy
-    }
-
-    /// Sets the record policy (see [`RecordPolicy`]).
-    pub fn set_record_policy(&mut self, policy: RecordPolicy) {
-        self.policy = policy;
     }
 
     /// Runs `steps` passes of the loop, returning the telemetry selected
@@ -392,10 +316,8 @@ impl<S: AiSystem, P: UserPopulation, F: FeedbackFilter> LoopRunner<S, P, F> {
         sink: &mut K,
     ) -> LoopRecord {
         let n = self.population.user_count();
-        let mut record = LoopRecord::with_policy(n, self.policy);
+        let mut record = LoopRecord::with_policy(n, self.tail.record_policy());
         record.reserve(steps);
-        let wants_checkpoints = sink.wants_checkpoints();
-        let mut checkpoint = ModelCheckpoint::new();
         eqimpact_telemetry::progress::add_goal(steps as u64);
 
         for k in 0..steps {
@@ -428,45 +350,16 @@ impl<S: AiSystem, P: UserPopulation, F: FeedbackFilter> LoopRunner<S, P, F> {
                 "population must emit one action per user"
             );
 
-            let mut feedback = self.spare.pop().unwrap_or_default();
-            {
-                let _phase = tm::LOOP_FILTER.enter();
-                self.filter.apply_into(
-                    k,
-                    &self.visible,
-                    &self.signals,
-                    &self.actions,
-                    &mut feedback,
-                );
-            }
-            {
-                let _phase = tm::LOOP_RECORD.enter();
-                record.push_step(&self.signals, &self.actions, &feedback.per_user);
-                sink.on_step(
-                    k,
-                    &self.visible,
-                    &self.signals,
-                    &self.actions,
-                    &feedback.per_user,
-                );
-            }
-
-            self.pending.push_back(feedback);
-            if self.pending.len() > self.delay {
-                let _phase = tm::LOOP_RETRAIN.enter();
-                let due = self.pending.pop_front().expect("non-empty by check");
-                self.ai.retrain(k, &due);
-                // Recycle the package: its buffers become the next step's.
-                self.spare.push(due);
-                if wants_checkpoints {
-                    checkpoint.reset(k);
-                    if self.ai.checkpoint_into(&mut checkpoint) {
-                        let _ = self.filter.checkpoint_into(&mut checkpoint);
-                        sink.on_checkpoint(k, &checkpoint);
-                    }
-                }
-            }
-            tm::LOOP_STEPS.incr();
+            let Ok(()) = self.tail.step(
+                k,
+                &mut self.ai,
+                &self.visible,
+                &self.signals,
+                &self.actions,
+                &mut record,
+                sink,
+                &mut LiveHooks,
+            );
         }
         record
     }
@@ -486,14 +379,14 @@ impl<S: AiSystem, P: UserPopulation, F: FeedbackFilter> LoopRunner<S, P, F> {
         &self.population
     }
 
-    /// Access to the filter.
-    pub fn filter(&self) -> &F {
-        &self.filter
+    /// The feedback path: filter, delay and record policy.
+    pub fn tail(&self) -> &StepTail<F> {
+        &self.tail
     }
 
     /// Decomposes the runner back into its blocks.
     pub fn into_parts(self) -> (S, P, F) {
-        (self.ai, self.population, self.filter)
+        (self.ai, self.population, self.tail.into_filter())
     }
 }
 
@@ -596,7 +489,7 @@ impl<S: AiSystem, P: UserPopulation, F: FeedbackFilter> LoopBuilder<S, P, F> {
     /// Builds the runner.
     pub fn build(self) -> LoopRunner<S, P, F> {
         let mut runner = LoopRunner::new(self.ai, self.population, self.filter, self.delay);
-        runner.policy = self.policy;
+        runner.tail.set_record_policy(self.policy);
         runner
     }
 
@@ -624,7 +517,7 @@ impl<S: AiSystem, P: UserPopulation, F: FeedbackFilter> LoopBuilder<S, P, F> {
             self.shards.unwrap_or(0),
             budget,
         );
-        runner.set_record_policy(self.policy);
+        runner.tail_mut().set_record_policy(self.policy);
         runner
     }
 }
@@ -740,23 +633,6 @@ mod tests {
     }
 
     #[test]
-    fn boxed_and_generic_runners_agree() {
-        let mut generic = runner_with_delay(2);
-        let mut boxed: DynLoopRunner = LoopRunner::new(
-            Box::new(CountingAi {
-                level: 0.0,
-                retrain_steps: Vec::new(),
-            }),
-            Box::new(DeterministicUsers { n: 3 }),
-            Box::new(MeanFilter::default()),
-            2,
-        );
-        let a = generic.run(25, &mut SimRng::new(11));
-        let b = boxed.run(25, &mut SimRng::new(11));
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn thin_record_keeps_aggregates_only() {
         let mut runner = LoopBuilder::new(
             CountingAi {
@@ -784,8 +660,8 @@ mod tests {
             DeterministicUsers { n: 2 },
         )
         .build();
-        assert_eq!(runner.delay(), 1);
-        assert_eq!(runner.record_policy(), RecordPolicy::Full);
+        assert_eq!(runner.tail().delay(), 1);
+        assert_eq!(runner.tail().record_policy(), RecordPolicy::Full);
     }
 
     #[test]

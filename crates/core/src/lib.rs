@@ -17,9 +17,11 @@
 //!   dispatched** over its three blocks and drives them through in-place
 //!   `*_into` hooks, so a steady-state step performs **zero allocations**
 //!   when the blocks implement them (every trait method has a defaulted
-//!   fallback, so owned-return implementations keep working). The
-//!   [`closed_loop::DynLoopRunner`] alias is the fully boxed form for
-//!   blocks chosen at runtime — bit-identical records, dynamic dispatch;
+//!   fallback, so owned-return implementations keep working);
+//! * [`tail`] — the [`tail::StepTail`], the one feedback path (filter →
+//!   record → delay line → retrain or checkpoint restore) that the live
+//!   runners, trace replay and off-policy evaluation all drive, each
+//!   passing in its own [`tail::TailHooks`];
 //! * [`features`] — [`features::FeatureMatrix`], the flat row-major
 //!   feature storage that replaces `Vec<Vec<f64>>` on the hot path;
 //! * [`recorder`] — the telemetry of a run ([`recorder::LoopRecord`],
@@ -95,11 +97,6 @@
 //! let report = equal_impact_report(&record, 0.2, 0.1);
 //! assert!(report.all_coincide);
 //! ```
-//!
-//! Boxed blocks still work — `LoopRunner::new(Box::new(ai) as Box<dyn
-//! AiSystem>, ...)` builds a [`closed_loop::DynLoopRunner`] whose records
-//! are bit-identical to the generic runner's for the same seed (a property
-//! the test suite checks).
 
 #![warn(missing_docs)]
 
@@ -112,13 +109,13 @@ pub mod pool;
 pub mod recorder;
 pub mod scenario;
 pub mod shard;
+pub mod tail;
 pub mod treatment;
 pub mod trials;
 
 pub use checkpoint::ModelCheckpoint;
 pub use closed_loop::{
-    AiSystem, DynLoopRunner, Feedback, FeedbackFilter, LoopBuilder, LoopRunner, MeanFilter,
-    UserPopulation,
+    AiSystem, Feedback, FeedbackFilter, LoopBuilder, LoopRunner, MeanFilter, UserPopulation,
 };
 pub use fairness::{demographic_parity, equal_opportunity, individual_fairness};
 pub use features::FeatureMatrix;
@@ -129,5 +126,6 @@ pub use scenario::{
     run_scenario, write_artifacts, Artifact, ArtifactSpec, DynScenario, Scale, Scenario,
     ScenarioConfig, ScenarioError, ScenarioReport, TraceMeta, TraceSinkFactory,
 };
+pub use tail::{StepTail, TailHooks};
 pub use treatment::{equal_treatment_report, EqualTreatmentReport};
 pub use trials::{run_trials, run_trials_with, run_trials_with_budget, TrialSet};

@@ -9,7 +9,7 @@
 //! of a per-run [`WorkerPool`] (leased from the process-wide
 //! [`ThreadBudget`]), and re-joins at a per-step barrier where the
 //! [`FeedbackFilter`], the [`LoopRecord`] and retraining run sequentially
-//! on the merged buffers — byte-for-byte the same tail as
+//! on the merged buffers — the same [`StepTail`] as
 //! [`LoopRunner`](crate::closed_loop::LoopRunner).
 //!
 //! # The determinism contract
@@ -42,14 +42,13 @@
 //! everywhere the sequential runner is used; sharding simply requires the
 //! extra impls.
 
-use crate::checkpoint::ModelCheckpoint;
-use crate::closed_loop::{AiSystem, Feedback, FeedbackFilter, UserPopulation};
+use crate::closed_loop::{AiSystem, FeedbackFilter, UserPopulation};
 use crate::features::FeatureMatrix;
 use crate::pool::{PoolJob, ThreadBudget, WorkerPool};
 use crate::recorder::{LoopRecord, RecordPolicy, StepSink};
+use crate::tail::{LiveHooks, StepTail};
 use eqimpact_stats::SimRng;
 use eqimpact_telemetry::metrics as tm;
-use std::collections::VecDeque;
 use std::ops::Range;
 
 /// Phase label of the observation sweep (arbitrary fixed constant).
@@ -358,10 +357,9 @@ pub fn auto_shards_for(budget: &ThreadBudget) -> usize {
 ///
 /// Per step: every shard runs observe → signal → respond over its own
 /// rows, writing into disjoint sub-slices of the step buffers; at the
-/// step barrier the main thread applies the [`FeedbackFilter`] to the
-/// merged buffers, records the step, and retrains through the delay line
-/// — exactly the sequential tail, in the sequential order. See the module
-/// docs for the determinism contract.
+/// step barrier the main thread runs the [`StepTail`] (filter, record,
+/// delay line, retrain) on the merged buffers — exactly the sequential
+/// tail. See the module docs for the determinism contract.
 ///
 /// Cost model: one run leases its lanes from the [`ThreadBudget`] and
 /// spawns one [`WorkerPool`] (`lanes − 1` threads, zero when the budget
@@ -384,14 +382,10 @@ pub fn auto_shards_for(budget: &ThreadBudget) -> usize {
 pub struct ShardedRunner<S, P: ShardablePopulation, F> {
     ai: S,
     shards: Vec<P::Shard>,
-    filter: F,
-    delay: usize,
-    policy: RecordPolicy,
+    tail: StepTail<F>,
     budget: &'static ThreadBudget,
     user_count: usize,
     width: usize,
-    pending: VecDeque<Feedback>,
-    spare: Vec<Feedback>,
     visible: FeatureMatrix,
     signals: Vec<f64>,
     actions: Vec<f64>,
@@ -455,14 +449,10 @@ impl<S: ShardableAi, P: ShardablePopulation, F: FeedbackFilter> ShardedRunner<S,
         ShardedRunner {
             ai,
             shards,
-            filter,
-            delay,
-            policy: RecordPolicy::Full,
+            tail: StepTail::new(filter, delay, RecordPolicy::Full),
             budget,
             user_count,
             width,
-            pending: VecDeque::new(),
-            spare: Vec::new(),
             visible: FeatureMatrix::default(),
             signals: Vec::new(),
             actions: Vec::new(),
@@ -475,21 +465,6 @@ impl<S: ShardableAi, P: ShardablePopulation, F: FeedbackFilter> ShardedRunner<S,
         self.shards.len()
     }
 
-    /// The configured delay.
-    pub fn delay(&self) -> usize {
-        self.delay
-    }
-
-    /// The configured record policy.
-    pub fn record_policy(&self) -> RecordPolicy {
-        self.policy
-    }
-
-    /// Sets the record policy (see [`RecordPolicy`]).
-    pub fn set_record_policy(&mut self, policy: RecordPolicy) {
-        self.policy = policy;
-    }
-
     /// Access to the AI system (e.g. to inspect the final model).
     pub fn ai(&self) -> &S {
         &self.ai
@@ -500,15 +475,24 @@ impl<S: ShardableAi, P: ShardablePopulation, F: FeedbackFilter> ShardedRunner<S,
         &mut self.ai
     }
 
-    /// Access to the filter.
-    pub fn filter(&self) -> &F {
-        &self.filter
+    /// The feedback path: filter, delay and record policy.
+    pub fn tail(&self) -> &StepTail<F> {
+        &self.tail
+    }
+
+    /// Mutable access to the feedback path, for the builder.
+    pub(crate) fn tail_mut(&mut self) -> &mut StepTail<F> {
+        &mut self.tail
     }
 
     /// Decomposes the runner back into its blocks, reassembling the
     /// population from its shards.
     pub fn into_parts(self) -> (S, P, F) {
-        (self.ai, P::from_row_shards(self.shards), self.filter)
+        (
+            self.ai,
+            P::from_row_shards(self.shards),
+            self.tail.into_filter(),
+        )
     }
 
     /// Runs `steps` passes of the loop, returning the telemetry selected
@@ -556,13 +540,11 @@ impl<S: ShardableAi, P: ShardablePopulation, F: FeedbackFilter> ShardedRunner<S,
     ) -> LoopRecord {
         let n = self.user_count;
         let w = self.width;
-        let mut record = LoopRecord::with_policy(n, self.policy);
+        let mut record = LoopRecord::with_policy(n, self.tail.record_policy());
         record.reserve(steps);
         self.visible.reshape(n, w);
         self.signals.resize(n, 0.0);
         self.actions.resize(n, 0.0);
-        let wants_checkpoints = sink.wants_checkpoints();
-        let mut checkpoint = ModelCheckpoint::new();
         eqimpact_telemetry::progress::add_goal(steps as u64);
 
         for k in 0..steps {
@@ -618,46 +600,18 @@ impl<S: ShardableAi, P: ShardablePopulation, F: FeedbackFilter> ShardedRunner<S,
                 }
             }
 
-            // The step barrier: filter, record and retrain run on the
-            // merged buffers, in the sequential runner's exact order.
-            let mut feedback = self.spare.pop().unwrap_or_default();
-            {
-                let _phase = tm::LOOP_FILTER.enter();
-                self.filter.apply_into(
-                    k,
-                    &self.visible,
-                    &self.signals,
-                    &self.actions,
-                    &mut feedback,
-                );
-            }
-            {
-                let _phase = tm::LOOP_RECORD.enter();
-                record.push_step(&self.signals, &self.actions, &feedback.per_user);
-                sink.on_step(
-                    k,
-                    &self.visible,
-                    &self.signals,
-                    &self.actions,
-                    &feedback.per_user,
-                );
-            }
-
-            self.pending.push_back(feedback);
-            if self.pending.len() > self.delay {
-                let _phase = tm::LOOP_RETRAIN.enter();
-                let due = self.pending.pop_front().expect("non-empty by check");
-                self.ai.retrain(k, &due);
-                self.spare.push(due);
-                if wants_checkpoints {
-                    checkpoint.reset(k);
-                    if self.ai.checkpoint_into(&mut checkpoint) {
-                        let _ = self.filter.checkpoint_into(&mut checkpoint);
-                        sink.on_checkpoint(k, &checkpoint);
-                    }
-                }
-            }
-            tm::LOOP_STEPS.incr();
+            // The step barrier: the shared tail runs on the merged
+            // buffers, in the sequential runner's exact order.
+            let Ok(()) = self.tail.step(
+                k,
+                &mut self.ai,
+                &self.visible,
+                &self.signals,
+                &self.actions,
+                &mut record,
+                sink,
+                &mut LiveHooks,
+            );
         }
         record
     }
@@ -695,7 +649,7 @@ fn sweep_shard<S: ShardableAi, Sh: PopulationShard>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::closed_loop::LoopBuilder;
+    use crate::closed_loop::{Feedback, LoopBuilder};
 
     /// Shard-invariant synthetic population: every cell and action of row
     /// `i` comes from `streams.for_row(i)`.
@@ -878,7 +832,7 @@ mod tests {
         );
         assert!(runner.shard_count() >= 1);
         assert!(runner.shard_count() <= 5, "capped by the user count");
-        assert_eq!(runner.delay(), 1);
+        assert_eq!(runner.tail().delay(), 1);
     }
 
     #[test]

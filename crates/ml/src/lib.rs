@@ -11,9 +11,7 @@
 //!   with an L2 ridge and a gradient-descent fallback;
 //! * [`scorecard`] — coefficient-to-scorecard conversion, cut-off
 //!   decisions, Table I rendering;
-//! * [`metrics`] — accuracy, AUC, log-loss, calibration;
-//! * [`retrain`] — the accumulating retraining pipeline of Fig. 1 (concept
-//!   drift made explicit).
+//! * [`metrics`] — accuracy, AUC, log-loss, calibration.
 
 //! # Example
 //!
@@ -38,11 +36,9 @@ pub mod counterfactual;
 pub mod dataset;
 pub mod logistic;
 pub mod metrics;
-pub mod retrain;
 pub mod scorecard;
 
 pub use counterfactual::{minimal_counterfactual, Counterfactual, FeatureBounds};
 pub use dataset::Dataset;
 pub use logistic::{LogisticModel, LogisticRegression, TrainError};
-pub use retrain::RetrainingPipeline;
 pub use scorecard::{CreditDecision, Scorecard};

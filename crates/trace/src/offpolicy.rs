@@ -23,12 +23,12 @@
 use crate::store::{TraceGroups, TraceReader};
 use crate::TraceError;
 use eqimpact_core::checkpoint::ModelCheckpoint;
-use eqimpact_core::closed_loop::{AiSystem, Feedback, FeedbackFilter};
+use eqimpact_core::closed_loop::{AiSystem, FeedbackFilter};
 use eqimpact_core::fairness::{demographic_parity, equal_opportunity};
 use eqimpact_core::recorder::{LoopRecord, RecordPolicy};
 use eqimpact_core::scenario::Scale;
+use eqimpact_core::tail::{StepTail, TailHooks};
 use eqimpact_stats::{Json, ToJson};
-use std::collections::VecDeque;
 use std::io::Read;
 
 /// The raw material of an off-policy evaluation: the recorded behaviour
@@ -84,18 +84,15 @@ pub fn evaluate_off_policy<S: AiSystem, F: FeedbackFilter, R: Read>(
 pub fn evaluate_off_policy_with<S: AiSystem, F: FeedbackFilter, R: Read>(
     mut reader: TraceReader<R>,
     mut alt_ai: S,
-    mut alt_filter: F,
+    alt_filter: F,
     decision_threshold: f64,
     options: OffPolicyOptions,
 ) -> Result<OffPolicyOutcome, TraceError> {
-    let delay = reader.header().delay;
-    let mut checkpoint = ModelCheckpoint::new();
+    let mut tail = StepTail::new(alt_filter, reader.header().delay, RecordPolicy::Full);
     let mut frame = crate::store::StepFrame::default();
     let mut baseline: Option<LoopRecord> = None;
     let mut counterfactual: Option<LoopRecord> = None;
     let mut signals = Vec::new();
-    let mut pending: VecDeque<Feedback> = VecDeque::new();
-    let mut spare: Vec<Feedback> = Vec::new();
     let mut agree = 0usize;
     let mut total = 0usize;
 
@@ -122,22 +119,19 @@ pub fn evaluate_off_policy_with<S: AiSystem, F: FeedbackFilter, R: Read>(
             }
         }
 
-        let mut feedback = spare.pop().unwrap_or_default();
-        alt_filter.apply_into(k, &frame.visible, &signals, &frame.actions, &mut feedback);
-        counterfactual.push_step(&signals, &frame.actions, &feedback.per_user);
-
-        pending.push_back(feedback);
-        if pending.len() > delay {
-            let due = pending.pop_front().expect("non-empty by check");
-            let mut restored = false;
-            if options.use_checkpoints && reader.next_checkpoint(&mut checkpoint)? {
-                restored = alt_ai.restore_checkpoint(&checkpoint);
-            }
-            if !restored {
-                alt_ai.retrain(k, &due);
-            }
-            spare.push(due);
-        }
+        tail.step(
+            k,
+            &mut alt_ai,
+            &frame.visible,
+            &signals,
+            &frame.actions,
+            counterfactual,
+            &mut (),
+            &mut OffPolicyHooks {
+                reader: &mut reader,
+                use_checkpoints: options.use_checkpoints,
+            },
+        )?;
     }
 
     let users = reader.groups().map(|g| g.codes.len()).unwrap_or(0);
@@ -152,6 +146,29 @@ pub fn evaluate_off_policy_with<S: AiSystem, F: FeedbackFilter, R: Read>(
             agree as f64 / total as f64
         },
     })
+}
+
+/// Off-policy's side of the shared tail: restore the candidate AI from
+/// the logged checkpoints when asked, but never the candidate filter —
+/// its state is the candidate's own.
+struct OffPolicyHooks<'a, R: Read> {
+    reader: &'a mut TraceReader<R>,
+    use_checkpoints: bool,
+}
+
+impl<R: Read> TailHooks for OffPolicyHooks<'_, R> {
+    type Error = TraceError;
+
+    fn restore<S: AiSystem + ?Sized, F: FeedbackFilter>(
+        &mut self,
+        ai: &mut S,
+        _filter: &mut F,
+        scratch: &mut ModelCheckpoint,
+    ) -> Result<bool, TraceError> {
+        Ok(self.use_checkpoints
+            && self.reader.next_checkpoint(scratch)?
+            && ai.restore_checkpoint(scratch))
+    }
 }
 
 /// One policy's fairness read-out within an [`OffPolicyReport`].
@@ -334,6 +351,7 @@ mod tests {
     use super::*;
     use crate::store::TraceHeader;
     use crate::TraceStepSink;
+    use eqimpact_core::closed_loop::Feedback;
     use eqimpact_core::features::FeatureMatrix;
     use eqimpact_core::recorder::StepSink;
     use eqimpact_core::scenario::TraceMeta;

@@ -3,11 +3,10 @@
 //!
 //! Two faces of the same idea:
 //!
-//! * [`ReplayRunner`] is the Result-based driver: it mirrors
-//!   [`LoopRunner::run`](eqimpact_core::closed_loop::LoopRunner::run)'s
-//!   step order exactly — observe (from the trace) → signal (from the
-//!   replayed AI) → respond (from the trace) → filter → record → delayed
-//!   retrain — and, by default, **verifies** every recomputed signal and
+//! * [`ReplayRunner`] is the Result-based driver: observe (from the
+//!   trace) → signal (from the replayed AI) → respond (from the trace),
+//!   then the live runners' own [`StepTail`] (filter → record → delayed
+//!   retrain). By default it **verifies** every recomputed signal and
 //!   filter output against the recorded bits, so a successful replay is
 //!   a proof of byte-identity, and a corrupt or foreign trace surfaces
 //!   as a named [`TraceError`] instead of bad data.
@@ -19,11 +18,11 @@
 use crate::store::{StepFrame, TraceHeader, TraceReader};
 use crate::TraceError;
 use eqimpact_core::checkpoint::ModelCheckpoint;
-use eqimpact_core::closed_loop::{AiSystem, Feedback, FeedbackFilter, UserPopulation};
+use eqimpact_core::closed_loop::{AiSystem, FeedbackFilter, UserPopulation};
 use eqimpact_core::features::FeatureMatrix;
 use eqimpact_core::recorder::LoopRecord;
+use eqimpact_core::tail::{StepTail, TailHooks};
 use eqimpact_stats::SimRng;
-use std::collections::VecDeque;
 use std::io::Read;
 
 /// Bitwise equality over float slices (NaN == NaN, +0 != -0): replay
@@ -39,15 +38,12 @@ fn bits_equal(a: &[f64], b: &[f64]) -> bool {
 pub struct ReplayRunner<S, F, R: Read> {
     reader: TraceReader<R>,
     ai: S,
-    filter: F,
+    tail: StepTail<F>,
     verify: bool,
     use_checkpoints: bool,
     restored: usize,
-    checkpoint: ModelCheckpoint,
     frame: StepFrame,
     signals: Vec<f64>,
-    pending: VecDeque<Feedback>,
-    spare: Vec<Feedback>,
 }
 
 impl<S: AiSystem, F: FeedbackFilter, R: Read> ReplayRunner<S, F, R> {
@@ -55,18 +51,16 @@ impl<S: AiSystem, F: FeedbackFilter, R: Read> ReplayRunner<S, F, R> {
     /// Verification is on by default, and so is the checkpoint
     /// fast-path (a no-op on checkpoint-free traces).
     pub fn new(reader: TraceReader<R>, ai: S, filter: F) -> Self {
+        let tail = StepTail::new(filter, reader.header().delay, reader.header().policy);
         ReplayRunner {
             reader,
             ai,
-            filter,
+            tail,
             verify: true,
             use_checkpoints: true,
             restored: 0,
-            checkpoint: ModelCheckpoint::new(),
             frame: StepFrame::default(),
             signals: Vec::new(),
-            pending: VecDeque::new(),
-            spare: Vec::new(),
         }
     }
 
@@ -100,8 +94,7 @@ impl<S: AiSystem, F: FeedbackFilter, R: Read> ReplayRunner<S, F, R> {
 
     /// Replays the whole trace, returning the reconstructed record.
     pub fn run(&mut self) -> Result<LoopRecord, TraceError> {
-        let delay = self.reader.header().delay;
-        let policy = self.reader.header().policy;
+        let policy = self.tail.record_policy();
         let mut record: Option<LoopRecord> = None;
         while self.reader.next_step(&mut self.frame)? {
             let k = self.frame.step;
@@ -116,45 +109,22 @@ impl<S: AiSystem, F: FeedbackFilter, R: Read> ReplayRunner<S, F, R> {
                     channel: "signals",
                 });
             }
-
-            let mut feedback = self.spare.pop().unwrap_or_default();
-            self.filter.apply_into(
+            let mut hooks = ReplayHooks {
+                reader: &mut self.reader,
+                recorded: self.verify.then_some(&self.frame.filtered[..]),
+                use_checkpoints: self.use_checkpoints,
+                restored: &mut self.restored,
+            };
+            self.tail.step(
                 k,
+                &mut self.ai,
                 &self.frame.visible,
                 &self.signals,
                 &self.frame.actions,
-                &mut feedback,
-            );
-            if self.verify && !bits_equal(&feedback.per_user, &self.frame.filtered) {
-                return Err(TraceError::ReplayMismatch {
-                    step: k,
-                    channel: "filtered",
-                });
-            }
-            record.push_step(&self.signals, &self.frame.actions, &feedback.per_user);
-
-            self.pending.push_back(feedback);
-            if self.pending.len() > delay {
-                let due = self.pending.pop_front().expect("non-empty by check");
-                // The checkpoint of step k's retrain sits directly after
-                // the step-k frame; restore it instead of retraining
-                // when present and accepted. A missing or rejected
-                // checkpoint falls back to the real retrain, so partial
-                // support degrades to correctness, not corruption.
-                let mut restored = false;
-                if self.use_checkpoints && self.reader.next_checkpoint(&mut self.checkpoint)? {
-                    restored = self.ai.restore_checkpoint(&self.checkpoint);
-                    if restored {
-                        let _ = self.filter.restore_checkpoint(&self.checkpoint);
-                    }
-                }
-                if restored {
-                    self.restored += 1;
-                } else {
-                    self.ai.retrain(k, &due);
-                }
-                self.spare.push(due);
-            }
+                record,
+                &mut (),
+                &mut hooks,
+            )?;
         }
         Ok(record.unwrap_or_else(|| {
             let users = self.reader.groups().map(|g| g.codes.len()).unwrap_or(0);
@@ -165,7 +135,52 @@ impl<S: AiSystem, F: FeedbackFilter, R: Read> ReplayRunner<S, F, R> {
     /// Decomposes the runner back into its blocks (e.g. to inspect the
     /// replayed AI's final model).
     pub fn into_parts(self) -> (S, F) {
-        (self.ai, self.filter)
+        (self.ai, self.tail.into_filter())
+    }
+}
+
+/// Replay's side of the shared tail: verify the recomputed filter output
+/// against the recorded bits, and restore each retrain from the
+/// checkpoint recorded right after its step frame.
+struct ReplayHooks<'a, R: Read> {
+    reader: &'a mut TraceReader<R>,
+    /// The recorded filter output, when verifying.
+    recorded: Option<&'a [f64]>,
+    use_checkpoints: bool,
+    restored: &'a mut usize,
+}
+
+impl<R: Read> TailHooks for ReplayHooks<'_, R> {
+    type Error = TraceError;
+
+    fn check_filtered(&mut self, k: usize, filtered: &[f64]) -> Result<(), TraceError> {
+        match self.recorded {
+            Some(recorded) if !bits_equal(filtered, recorded) => Err(TraceError::ReplayMismatch {
+                step: k,
+                channel: "filtered",
+            }),
+            _ => Ok(()),
+        }
+    }
+
+    /// A missing or rejected checkpoint falls back to the real retrain,
+    /// so partial support degrades to correctness, not corruption. An
+    /// accepted one restores the filter too and is counted.
+    fn restore<S: AiSystem + ?Sized, F: FeedbackFilter>(
+        &mut self,
+        ai: &mut S,
+        filter: &mut F,
+        scratch: &mut ModelCheckpoint,
+    ) -> Result<bool, TraceError> {
+        if !(self.use_checkpoints && self.reader.next_checkpoint(scratch)?) {
+            return Ok(false);
+        }
+        let restored = ai.restore_checkpoint(scratch);
+        if restored {
+            let _ = filter.restore_checkpoint(scratch);
+            *self.restored += 1;
+        }
+        Ok(restored)
     }
 }
 

@@ -449,6 +449,8 @@ pub struct TraceReader<R: Read> {
     pending: Option<(u8, Vec<u8>)>,
     frame_index: usize,
     steps_read: usize,
+    /// Row count of the first step; every later step must match it.
+    rows: Option<usize>,
     done: bool,
     /// Reused scratch: frame payloads, decoded words, one gathered
     /// feature column.
@@ -489,6 +491,7 @@ impl<R: Read> TraceReader<R> {
             pending: None,
             frame_index,
             steps_read: 0,
+            rows: None,
             done: false,
             payload: Vec::new(),
             words: Vec::new(),
@@ -520,7 +523,9 @@ impl<R: Read> TraceReader<R> {
 
     /// Decodes the next step into `frame` (buffers reused). Returns
     /// `Ok(false)` once the footer is reached; a stream that ends
-    /// without a footer is a [`TraceError::Truncated`].
+    /// without a footer is a [`TraceError::Truncated`], and a step whose
+    /// row count differs from the first step's is
+    /// [`TraceError::Corrupt`].
     pub fn next_step(&mut self, frame: &mut StepFrame) -> Result<bool, TraceError> {
         if self.done {
             return Ok(false);
@@ -544,6 +549,16 @@ impl<R: Read> TraceReader<R> {
                             what: format!(
                                 "step frame out of order: found step {}, expected {}",
                                 frame.step, self.steps_read
+                            ),
+                        });
+                    }
+                    let rows = frame.signals.len();
+                    let first = *self.rows.get_or_insert(rows);
+                    if rows != first {
+                        return Err(TraceError::Corrupt {
+                            what: format!(
+                                "step {} has {rows} rows but the trace started with {first}",
+                                frame.step
                             ),
                         });
                     }

@@ -1,12 +1,17 @@
 //! Property-based tests of the trace store: codec round-trips over
-//! random bit-pattern streams, end-to-end write→read equality, and the
-//! no-panic contract on corrupted or truncated inputs.
+//! random bit-pattern streams, end-to-end write→read equality, the
+//! no-panic contract on corrupted, truncated or ragged inputs, and
+//! replay / off-policy reproduction of live loops at every delay.
 
+use eqimpact_core::checkpoint::ModelCheckpoint;
+use eqimpact_core::closed_loop::{AiSystem, Feedback, LoopBuilder, MeanFilter, UserPopulation};
 use eqimpact_core::features::FeatureMatrix;
 use eqimpact_core::recorder::RecordPolicy;
 use eqimpact_core::scenario::Scale;
+use eqimpact_stats::SimRng;
 use eqimpact_trace::{
-    decode_column, encode_column, StepFrame, TraceError, TraceHeader, TraceReader, TraceWriter,
+    decode_column, encode_column, evaluate_off_policy, evaluate_off_policy_with, OffPolicyOptions,
+    ReplayRunner, StepFrame, TraceError, TraceHeader, TraceReader, TraceStepSink, TraceWriter,
     FORMAT_VERSION,
 };
 use proptest::prelude::*;
@@ -69,6 +74,63 @@ fn step_strategy(users: usize) -> impl Strategy<Value = StepData> {
 
 fn bits(values: &[f64]) -> Vec<u64> {
     values.iter().map(|v| v.to_bits()).collect()
+}
+
+/// A learning AI with checkpoint support: signals are the first visible
+/// column scaled plus a learned level, and each retrain moves the level
+/// toward the feedback aggregate.
+#[derive(Default)]
+struct LevelAi {
+    level: f64,
+    retrains: usize,
+}
+
+impl AiSystem for LevelAi {
+    fn signals_into(&mut self, _k: usize, visible: &FeatureMatrix, out: &mut Vec<f64>) {
+        out.clear();
+        out.extend(visible.col(0).iter().map(|&x| 0.5 * x + self.level));
+    }
+    fn retrain(&mut self, _k: usize, feedback: &Feedback) {
+        self.level = 0.5 * self.level + 0.25 * feedback.aggregate;
+        self.retrains += 1;
+    }
+    fn checkpoint_into(&self, out: &mut ModelCheckpoint) -> bool {
+        out.push_scalar("level", self.level);
+        true
+    }
+    fn restore_checkpoint(&mut self, checkpoint: &ModelCheckpoint) -> bool {
+        match checkpoint.scalar("level") {
+            Some(level) => {
+                self.level = level;
+                true
+            }
+            None => false,
+        }
+    }
+}
+
+/// Users observing one uniform feature and repaying with probability
+/// equal to their (clamped) signal.
+struct CoinUsers(usize);
+
+impl UserPopulation for CoinUsers {
+    fn user_count(&self) -> usize {
+        self.0
+    }
+    fn observe_into(&mut self, _k: usize, rng: &mut SimRng, out: &mut FeatureMatrix) {
+        out.reshape(self.0, 1);
+        for cell in out.col_mut(0) {
+            *cell = rng.uniform();
+        }
+    }
+    fn respond_into(&mut self, _k: usize, signals: &[f64], rng: &mut SimRng, out: &mut Vec<f64>) {
+        out.clear();
+        out.extend(
+            signals
+                .iter()
+                .map(|&s| f64::from(u8::from(rng.bernoulli(s.clamp(0.0, 1.0))))),
+        );
+    }
 }
 
 proptest! {
@@ -149,6 +211,89 @@ proptest! {
         match TraceReader::new(&mut input) {
             Err(TraceError::ChecksumMismatch { frame: 0 }) => {}
             other => prop_assert!(false, "expected ChecksumMismatch, got {:?}", other.err()),
+        }
+    }
+
+    #[test]
+    fn ragged_traces_are_corrupt_on_every_reader_path(
+        first in step_strategy(2),
+        second in step_strategy(3),
+        grow in prop::bool::ANY,
+    ) {
+        // Valid CRCs, but the row count changes between steps: 2 -> 3
+        // or 3 -> 2.
+        let steps = if grow { vec![first, second] } else { vec![second, first] };
+        let bytes = write_trace(&steps);
+        let is_corrupt = |e: &TraceError| matches!(e, TraceError::Corrupt { .. });
+
+        let mut reader = TraceReader::new(&bytes[..]).expect("opens");
+        let err = reader.read_record().expect_err("read_record");
+        prop_assert!(is_corrupt(&err), "read_record: {err}");
+
+        let reader = TraceReader::new(&bytes[..]).expect("opens");
+        let err = ReplayRunner::new(reader, LevelAi::default(), MeanFilter::default())
+            .verify(false)
+            .run()
+            .expect_err("replay");
+        prop_assert!(is_corrupt(&err), "replay: {err}");
+
+        let reader = TraceReader::new(&bytes[..]).expect("opens");
+        let err = evaluate_off_policy(reader, LevelAi::default(), MeanFilter::default(), 0.5)
+            .expect_err("off-policy");
+        prop_assert!(is_corrupt(&err), "off-policy: {err}");
+    }
+
+    #[test]
+    fn replay_and_off_policy_reproduce_the_live_loop_at_any_delay(
+        delay in 0usize..3,
+        checkpoints in prop::bool::ANY,
+        users in 1usize..6,
+        steps in 1usize..10,
+        seed in 0u64..1000,
+    ) {
+        let mut header = TraceHeader { delay, ..header() };
+        if checkpoints {
+            header = header.with_checkpoints();
+        }
+        let mut runner = LoopBuilder::new(LevelAi::default(), CoinUsers(users))
+            .delay(delay)
+            .build();
+        let mut sink = TraceStepSink::new(Vec::new(), &header).expect("header");
+        let live = runner.run_with_sink(steps, &mut SimRng::new(seed), &mut sink);
+        let bytes = sink.finish().expect("trace");
+        let (live_ai, _, _) = runner.into_parts();
+        prop_assert_eq!(live_ai.retrains, steps.saturating_sub(delay));
+
+        // Replay reproduces the live record bit-for-bit, and restores
+        // every retrain from its checkpoint when the trace has them.
+        let reader = TraceReader::new(&bytes[..]).expect("opens");
+        let mut replay = ReplayRunner::new(reader, LevelAi::default(), MeanFilter::default());
+        let replayed = replay.run().expect("replay");
+        prop_assert_eq!(replayed.to_json().render(), live.to_json().render());
+        prop_assert_eq!(&replayed, &live);
+        let restored = if checkpoints { live_ai.retrains } else { 0 };
+        prop_assert_eq!(replay.checkpoints_restored(), restored);
+        let (replay_ai, _) = replay.into_parts();
+        prop_assert_eq!(replay_ai.retrains, live_ai.retrains - restored);
+        prop_assert_eq!(replay_ai.level.to_bits(), live_ai.level.to_bits());
+
+        // The logged AI and filter, evaluated off-policy, are their own
+        // baseline — retrained or restored from checkpoints.
+        for use_checkpoints in [false, true] {
+            let reader = TraceReader::new(&bytes[..]).expect("opens");
+            let outcome = evaluate_off_policy_with(
+                reader,
+                LevelAi::default(),
+                MeanFilter::default(),
+                0.5,
+                OffPolicyOptions { use_checkpoints },
+            )
+            .expect("off-policy");
+            prop_assert_eq!(
+                outcome.counterfactual.to_json().render(),
+                outcome.baseline.to_json().render()
+            );
+            prop_assert_eq!(outcome.agreement, 1.0);
         }
     }
 
