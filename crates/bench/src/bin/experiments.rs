@@ -33,9 +33,10 @@
 //!       every fairness gap and outcome delta. `--grid` overrides the
 //!       scenario's default axes (`policy=a,b;threshold=0,10`); `--quick`
 //!       cuts the bootstrap resamples for CI smoke runs. Exits 3 for
-//!       scenarios without sweep support. The ranking is deterministic:
-//!       same traces + same seed give the same report at any thread
-//!       count.
+//!       scenarios without sweep support, and 1 (after writing the
+//!       report) when no trace could be read. The ranking is
+//!       deterministic: same traces + same seed give the same report at
+//!       any thread count.
 //!   certify <scenario> [--traces DIR] [--seed N] [--threads N] [--out DIR]
 //!       The certification plane: extract the scenario's empirical
 //!       transition structure from every recorded trace under --traces
@@ -43,8 +44,9 @@
 //!       primitivity, unique ergodicity + equal impact, contractivity,
 //!       Lyapunov stability, incremental ISS — writing a per-scenario
 //!       verdict artifact (JSON + text). Exits 3 for scenarios without
-//!       certify support. The artifact is byte-identical across runs and
-//!       thread counts for a fixed seed.
+//!       certify support, and 1 (after writing the artifact) when no
+//!       trace could be read. The artifact is byte-identical across runs
+//!       and thread counts for a fixed seed.
 //!
 //! Flags:
 //!   --quick      reduced CI scale instead of the paper's parameters
@@ -67,6 +69,11 @@
 //!   --progress   print a once-a-second progress heartbeat to stderr
 //!                (completed units, rate, ETA); implies recording
 //! ```
+//!
+//! Exit status: 0 on success, 1 when `sweep` or `certify` could read none
+//! of its traces, 2 for usage and validation errors, 3 when the scenario
+//! lacks the requested capability. A sweep or certification that reads
+//! only some of its traces still exits 0 and lists the unreadable ones.
 //!
 //! Scenario names, artifact names, policies and flags are all validated:
 //! a typo like `--quikc` or `fig9` exits with status 2 and the list of
@@ -105,11 +112,12 @@ const SWEEP_FLAGS: &str =
 const CERTIFY_FLAGS: &str =
     "--traces DIR, --seed N, --threads N, --out DIR, --telemetry, --progress";
 
-/// A CLI failure, carrying its exit status: 2 for usage/validation
-/// errors, 3 for "this scenario lacks the requested capability" — no
-/// trace support for `record`, no intra-trial sharding for a sharded
-/// `run` — so CI matrix legs can skip unsupported scenarios cleanly
-/// without masking real failures.
+/// A CLI failure, carrying its exit status: 1 when `sweep` or `certify`
+/// could read none of its traces (the report is still written), 2 for
+/// usage/validation errors, 3 for "this scenario lacks the requested
+/// capability" — no trace support for `record`, no intra-trial sharding
+/// for a sharded `run` — so CI matrix legs can skip unsupported
+/// scenarios cleanly without masking real failures.
 #[derive(Debug)]
 struct CliError {
     message: String,
@@ -117,6 +125,13 @@ struct CliError {
 }
 
 impl CliError {
+    fn failed(message: impl Into<String>) -> Self {
+        CliError {
+            message: message.into(),
+            code: 1,
+        }
+    }
+
     fn usage(message: impl Into<String>) -> Self {
         CliError {
             message: message.into(),
@@ -143,7 +158,9 @@ fn main() -> ExitCode {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {}", e.message);
-            eprintln!("run `experiments help` for usage");
+            if e.code != 1 {
+                eprintln!("run `experiments help` for usage");
+            }
             ExitCode::from(e.code)
         }
     }
@@ -445,8 +462,8 @@ fn base_config(flags: &CommonFlags) -> ScenarioConfig {
 /// Applies `--threads N` by fixing the process-wide [`ThreadBudget`]
 /// before anything leases from it. The budget's capacity is set on first
 /// use, so this must run before the scenarios do.
-fn apply_thread_cap(flags: &CommonFlags) -> Result<(), CliError> {
-    if let Some(threads) = flags.threads {
+fn apply_thread_cap(threads: Option<usize>) -> Result<(), CliError> {
+    if let Some(threads) = threads {
         ThreadBudget::init_global(threads).map_err(|existing| {
             CliError::usage(format!(
                 "--threads {threads} rejected: the thread budget was already \
@@ -457,8 +474,8 @@ fn apply_thread_cap(flags: &CommonFlags) -> Result<(), CliError> {
     Ok(())
 }
 
-fn thread_label(flags: &CommonFlags) -> String {
-    match flags.threads {
+fn thread_label(threads: Option<usize>) -> String {
+    match threads {
         Some(n) => n.to_string(),
         None => format!("{} (auto)", ThreadBudget::global().capacity()),
     }
@@ -480,7 +497,7 @@ fn find_scenario(name: &str) -> Result<&'static dyn DynScenario, CliError> {
 
 fn cmd_run(args: &[String]) -> Result<(), CliError> {
     let flags = parse_common(args, RUN_FLAGS, true)?;
-    apply_thread_cap(&flags)?;
+    apply_thread_cap(flags.threads)?;
     let obs = CommandObs::start(flags.telemetry, flags.progress);
     let out_dir = flags
         .out_dir
@@ -514,7 +531,7 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
         } else {
             flags.shards.to_string()
         },
-        thread_label(&flags),
+        thread_label(flags.threads),
         out_dir.display()
     );
 
@@ -566,7 +583,7 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
 
 fn cmd_record(args: &[String]) -> Result<(), CliError> {
     let flags = parse_common(args, RECORD_FLAGS, false)?;
-    apply_thread_cap(&flags)?;
+    apply_thread_cap(flags.threads)?;
     if !flags.positionals.is_empty() {
         return Err(CliError::usage(format!(
             "`record` takes one scenario name (unexpected: {})",
@@ -627,7 +644,7 @@ fn cmd_record(args: &[String]) -> Result<(), CliError> {
         scale_of(flags.quick),
         seed_label(flags.seed),
         flags.shards,
-        thread_label(&flags),
+        thread_label(flags.threads),
         out_dir.display()
     );
     let config = base_config(&flags).with_trace(factory.clone());
@@ -778,6 +795,33 @@ fn cmd_replay(args: &[String]) -> Result<(), CliError> {
     obs.finish("replay", &header.scenario, &out_dir)
 }
 
+/// Every trace `name` recorded under `dir` (`<name>-*.eqtrace`), in
+/// deterministic sorted-filename order — the order trace labels appear
+/// in the sweep and certify reports and their statistics fold over.
+/// Finding none is a usage error.
+fn find_traces(name: &str, dir: &Path) -> Result<Vec<FileTrace>, CliError> {
+    let prefix = format!("{name}-");
+    let mut paths: Vec<PathBuf> = std::fs::read_dir(dir)
+        .map_err(|e| CliError::usage(format!("cannot read {}: {e}", dir.display())))?
+        .filter_map(|entry| entry.ok().map(|e| e.path()))
+        .filter(|path| {
+            path.extension().is_some_and(|ext| ext == "eqtrace")
+                && path
+                    .file_name()
+                    .and_then(|f| f.to_str())
+                    .is_some_and(|f| f.starts_with(&prefix))
+        })
+        .collect();
+    paths.sort();
+    if paths.is_empty() {
+        return Err(CliError::usage(format!(
+            "no `{name}-*.eqtrace` files under {} (record some with: experiments record {name})",
+            dir.display()
+        )));
+    }
+    Ok(paths.iter().map(FileTrace::new).collect())
+}
+
 fn cmd_sweep(args: &[String]) -> Result<(), CliError> {
     let mut scenario: Option<String> = None;
     let mut traces_dir = PathBuf::from("traces");
@@ -862,14 +906,7 @@ fn cmd_sweep(args: &[String]) -> Result<(), CliError> {
             sweep_names.join(", ")
         ))
     })?;
-    if let Some(threads) = threads {
-        ThreadBudget::init_global(threads).map_err(|existing| {
-            CliError::usage(format!(
-                "--threads {threads} rejected: the thread budget was already \
-                 fixed at {existing} lanes (set it before any parallel work)"
-            ))
-        })?;
-    }
+    apply_thread_cap(threads)?;
 
     let obs = CommandObs::start(telemetry, progress);
     let grid = match &grid_spec {
@@ -881,28 +918,7 @@ fn cmd_sweep(args: &[String]) -> Result<(), CliError> {
         return Err(CliError::usage("--grid selects no candidates"));
     }
 
-    // Every trace the scenario recorded under --traces, in deterministic
-    // (sorted-filename) order — the order trace labels appear in the
-    // report and per-candidate statistics pool over.
-    let mut trace_paths: Vec<PathBuf> = std::fs::read_dir(&traces_dir)
-        .map_err(|e| CliError::usage(format!("cannot read {}: {e}", traces_dir.display())))?
-        .filter_map(|entry| entry.ok().map(|e| e.path()))
-        .filter(|path| {
-            path.extension().is_some_and(|ext| ext == "eqtrace")
-                && path
-                    .file_name()
-                    .and_then(|f| f.to_str())
-                    .is_some_and(|f| f.starts_with(&format!("{name}-")))
-        })
-        .collect();
-    trace_paths.sort();
-    if trace_paths.is_empty() {
-        return Err(CliError::usage(format!(
-            "no `{name}-*.eqtrace` files under {} (record some with: experiments record {name})",
-            traces_dir.display()
-        )));
-    }
-    let traces: Vec<FileTrace> = trace_paths.iter().map(FileTrace::new).collect();
+    let traces = find_traces(&name, &traces_dir)?;
     let sources: Vec<&dyn TraceSource> = traces.iter().map(|t| t as &dyn TraceSource).collect();
 
     let config = SweepConfig {
@@ -922,10 +938,7 @@ fn cmd_sweep(args: &[String]) -> Result<(), CliError> {
         sources.len(),
         config.seed,
         config.resamples,
-        match threads {
-            Some(n) => n.to_string(),
-            None => format!("{} (auto)", ThreadBudget::global().capacity()),
-        }
+        thread_label(threads)
     );
     let report = run_sweep(target, &sources, &grid, &config, ThreadBudget::global())
         .map_err(|e| CliError::usage(format!("sweep failed: {e}")))?;
@@ -942,7 +955,14 @@ fn cmd_sweep(args: &[String]) -> Result<(), CliError> {
         .map_err(|e| CliError::usage(format!("cannot write {}: {e}", text_path.display())))?;
     println!("wrote {}", json_path.display());
     println!("wrote {}", text_path.display());
-    obs.finish("sweep", &name, &out_dir)
+    obs.finish("sweep", &name, &out_dir)?;
+    if report.ranked.iter().all(|candidate| candidate.traces == 0) {
+        return Err(CliError::failed(format!(
+            "no `{name}` trace under {} could be read, so every candidate is undefined",
+            traces_dir.display()
+        )));
+    }
+    Ok(())
 }
 
 fn cmd_certify(args: &[String]) -> Result<(), CliError> {
@@ -1015,38 +1035,10 @@ fn cmd_certify(args: &[String]) -> Result<(), CliError> {
             certify_names.join(", ")
         ))
     })?;
-    if let Some(threads) = threads {
-        ThreadBudget::init_global(threads).map_err(|existing| {
-            CliError::usage(format!(
-                "--threads {threads} rejected: the thread budget was already \
-                 fixed at {existing} lanes (set it before any parallel work)"
-            ))
-        })?;
-    }
+    apply_thread_cap(threads)?;
 
     let obs = CommandObs::start(telemetry, progress);
-    // Every trace the scenario recorded under --traces, in deterministic
-    // (sorted-filename) order — the order certificates appear in the
-    // report and per-check verdicts fold over.
-    let mut trace_paths: Vec<PathBuf> = std::fs::read_dir(&traces_dir)
-        .map_err(|e| CliError::usage(format!("cannot read {}: {e}", traces_dir.display())))?
-        .filter_map(|entry| entry.ok().map(|e| e.path()))
-        .filter(|path| {
-            path.extension().is_some_and(|ext| ext == "eqtrace")
-                && path
-                    .file_name()
-                    .and_then(|f| f.to_str())
-                    .is_some_and(|f| f.starts_with(&format!("{name}-")))
-        })
-        .collect();
-    trace_paths.sort();
-    if trace_paths.is_empty() {
-        return Err(CliError::usage(format!(
-            "no `{name}-*.eqtrace` files under {} (record some with: experiments record {name})",
-            traces_dir.display()
-        )));
-    }
-    let traces: Vec<FileTrace> = trace_paths.iter().map(FileTrace::new).collect();
+    let traces = find_traces(&name, &traces_dir)?;
     let sources: Vec<&dyn TraceSource> = traces.iter().map(|t| t as &dyn TraceSource).collect();
 
     let config = CertifyConfig {
@@ -1057,10 +1049,7 @@ fn cmd_certify(args: &[String]) -> Result<(), CliError> {
         "eqimpact experiments — certifying {name}: {} traces, seed {}, threads {}",
         sources.len(),
         config.seed,
-        match threads {
-            Some(n) => n.to_string(),
-            None => format!("{} (auto)", ThreadBudget::global().capacity()),
-        }
+        thread_label(threads)
     );
     let report = run_certification(target, &sources, &config, ThreadBudget::global())
         .map_err(|e| CliError::usage(format!("certification failed: {e}")))?;
@@ -1077,7 +1066,14 @@ fn cmd_certify(args: &[String]) -> Result<(), CliError> {
         .map_err(|e| CliError::usage(format!("cannot write {}: {e}", text_path.display())))?;
     println!("wrote {}", json_path.display());
     println!("wrote {}", text_path.display());
-    obs.finish("certify", &name, &out_dir)
+    obs.finish("certify", &name, &out_dir)?;
+    if report.certificates.is_empty() {
+        return Err(CliError::failed(format!(
+            "no `{name}` trace under {} could be read, so nothing was certified",
+            traces_dir.display()
+        )));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1185,6 +1181,80 @@ mod tests {
             "replay of unsupported scenario: {}",
             err.message
         );
+    }
+
+    /// Records one small checkpointed credit trial as `experiments record`
+    /// would write it, returning the trace bytes.
+    fn small_credit_trace() -> Vec<u8> {
+        use eqimpact_core::scenario::{Scale, TraceMeta};
+        use eqimpact_credit::sim::{run_trial_sunk, CreditConfig, LenderKind};
+        use eqimpact_trace::{TraceHeader, TraceStepSink};
+        let config = CreditConfig {
+            users: 80,
+            steps: 6,
+            trials: 1,
+            seed: 21,
+            lender: LenderKind::Scorecard,
+            ..CreditConfig::default()
+        };
+        let header = TraceHeader::from_meta(&TraceMeta {
+            scenario: "credit".to_string(),
+            variant: eqimpact_credit::scenario::TRACE_VARIANT.to_string(),
+            trial: 0,
+            scale: Scale::Quick,
+            seed: config.seed,
+            shards: config.shards,
+            delay: config.delay,
+            policy: config.policy,
+        })
+        .with_checkpoints();
+        let mut sink = TraceStepSink::new(Vec::new(), &header).unwrap();
+        run_trial_sunk(&config, 0, &mut sink);
+        sink.finish().unwrap()
+    }
+
+    #[test]
+    fn sweep_and_certify_exit_1_when_no_trace_can_be_read() {
+        let dir = std::env::temp_dir().join(format!("eqimpact-unreadable-{}", std::process::id()));
+        let traces = dir.join("traces");
+        let out = dir.join("out");
+        std::fs::create_dir_all(&traces).unwrap();
+        let good = traces.join("credit-trial0.eqtrace");
+        let bytes = small_credit_trace();
+        std::fs::write(&good, &bytes).unwrap();
+        std::fs::write(
+            traces.join("credit-trial1.eqtrace"),
+            &bytes[..bytes.len() / 2],
+        )
+        .unwrap();
+        let (traces_arg, out_arg) = (traces.to_str().unwrap(), out.to_str().unwrap());
+        let certify = || {
+            cmd_certify(&strings(&[
+                "credit", "--traces", traces_arg, "--out", out_arg,
+            ]))
+        };
+        let sweep = || {
+            cmd_sweep(&strings(&[
+                "credit", "--quick", "--traces", traces_arg, "--out", out_arg,
+            ]))
+        };
+
+        // One readable trace of two is a partial failure: exit 0, with
+        // the unreadable trace listed in the report.
+        certify().expect("partial certification succeeds");
+        sweep().expect("partial sweep succeeds");
+
+        // With only the truncated trace left nothing can be read: the
+        // artifacts are still written, then the command exits 1.
+        std::fs::remove_file(&good).unwrap();
+        std::fs::remove_dir_all(&out).unwrap();
+        let err = certify().unwrap_err();
+        assert_eq!(err.code, 1, "{}", err.message);
+        assert!(out.join("certify_credit.json").exists());
+        let err = sweep().unwrap_err();
+        assert_eq!(err.code, 1, "{}", err.message);
+        assert!(out.join("sweep_credit.json").exists());
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -85,12 +85,6 @@ pub trait AiSystem {
         let _ = checkpoint;
         false
     }
-
-    /// Optional downcasting hook so callers can inspect a concrete AI
-    /// system (e.g. read the final scorecard) after a type-erased run.
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        None
-    }
 }
 
 /// The user population block: holds private states `x_i`, responds
@@ -213,9 +207,6 @@ impl<T: AiSystem + ?Sized> AiSystem for Box<T> {
     }
     fn restore_checkpoint(&mut self, checkpoint: &ModelCheckpoint) -> bool {
         (**self).restore_checkpoint(checkpoint)
-    }
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        (**self).as_any()
     }
 }
 

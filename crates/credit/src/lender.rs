@@ -168,10 +168,6 @@ impl AiSystem for ScorecardLender {
             });
         true
     }
-
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
-    }
 }
 
 impl ShardableAi for ScorecardLender {

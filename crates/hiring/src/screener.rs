@@ -155,10 +155,6 @@ impl AiSystem for AdaptiveScreener {
             });
         true
     }
-
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
-    }
 }
 
 impl ShardableAi for AdaptiveScreener {

@@ -14,13 +14,16 @@ use eqimpact_hiring::sim::{HiringConfig, ScreenerKind};
 use eqimpact_hiring::HiringCertify;
 use eqimpact_trace::{TraceHeader, TraceStepSink};
 
+/// Steps (credit) or rounds (hiring) in every recorded trace.
+const TRACE_STEPS: usize = 6;
+
 /// Records `trials` checkpointed credit traces in memory.
 fn credit_traces(trials: usize) -> Vec<MemTrace> {
     (0..trials)
         .map(|trial| {
             let config = CreditConfig {
                 users: 90,
-                steps: 6,
+                steps: TRACE_STEPS,
                 trials: 1,
                 seed: 21 + trial as u64,
                 lender: LenderKind::Scorecard,
@@ -53,7 +56,7 @@ fn hiring_traces(trials: usize) -> Vec<MemTrace> {
         .map(|trial| {
             let config = HiringConfig {
                 applicants: 90,
-                rounds: 6,
+                rounds: TRACE_STEPS,
                 trials: 1,
                 seed: 31 + trial as u64,
                 screener: ScreenerKind::Adaptive,
@@ -93,6 +96,17 @@ fn certify_all(target: &dyn CertifyTarget, traces: &[MemTrace], lanes: usize) ->
     let report = run_certification(target, &sources, &config, ThreadBudget::leaked(lanes))
         .expect("certification runs");
     assert_eq!(report.certificates.len(), traces.len());
+    // Each certificate covers its whole trace and carries all five
+    // theory passes.
+    for cert in &report.certificates {
+        assert_eq!(cert.steps, TRACE_STEPS, "{}", cert.trace);
+        assert!(
+            cert.checks.len() >= 5,
+            "{}: {} checks",
+            cert.trace,
+            cert.checks.len()
+        );
+    }
     (report.to_json().render_pretty(), report.render_text())
 }
 
