@@ -2,7 +2,9 @@
 //!
 //! * [`ScorecardLender`] — the paper's Sec. VII protocol: approve everyone
 //!   for the first two years, then retrain a logistic scorecard each year
-//!   on `(ADR_i(k−1), 1_{z≥15})` and decide by cut-off;
+//!   on `(ADR_i(k−1), 1_{z≥15})` and decide by cut-off. The learning is
+//!   the shared [`RetrainedLogistic`] (the hiring screener uses the same
+//!   one); this type adds the warmup, the cut-off and the loan sizing;
 //! * [`UniformExclusionLender`] — the introduction's "most equal
 //!   treatment" baseline: a flat $50K to everyone who has never defaulted,
 //!   permanent exclusion afterwards;
@@ -20,8 +22,9 @@ use eqimpact_core::checkpoint::ModelCheckpoint;
 use eqimpact_core::closed_loop::{AiSystem, Feedback};
 use eqimpact_core::features::FeatureMatrix;
 use eqimpact_core::shard::{ColsView, ShardableAi};
-use eqimpact_ml::logistic::{LogisticModel, LogisticRegression};
+use eqimpact_ml::logistic::LogisticModel;
 use eqimpact_ml::scorecard::Scorecard;
+use eqimpact_ml::RetrainedLogistic;
 
 /// Index of the income code in the visible feature rows.
 pub const VISIBLE_INCOME_CODE: usize = 0;
@@ -38,17 +41,9 @@ pub struct ScorecardLender {
     cutoff: f64,
     /// Loan sizing multiple (the paper's 3.5).
     multiple: f64,
-    fitter: LogisticRegression,
-    /// `ADR_i(k−1)` as known to the lender (from the last feedback).
-    prev_adr: Vec<f64>,
-    /// Accumulated training rows `(adr_prev, income_code)`, stored flat.
-    train_rows: FeatureMatrix,
-    /// Accumulated labels `y_i(j)` (offered users only).
-    train_labels: Vec<f64>,
-    /// The current model, if fitted.
-    model: Option<LogisticModel>,
-    /// Refits performed.
-    refits: usize,
+    /// The scorecard model on `(ADR_i(k−1), income_code)`; its memory is
+    /// `ADR_i(k−1)` as known to the lender, 0 for users never seen.
+    learner: RetrainedLogistic,
 }
 
 impl ScorecardLender {
@@ -63,35 +58,29 @@ impl ScorecardLender {
             warmup_steps,
             cutoff,
             multiple,
-            fitter: LogisticRegression::default(),
-            prev_adr: Vec::new(),
-            train_rows: FeatureMatrix::new(2),
-            train_labels: Vec::new(),
-            model: None,
-            refits: 0,
+            learner: RetrainedLogistic::new(0.0),
         }
     }
 
     /// The current model, if any retraining has happened.
     pub fn model(&self) -> Option<&LogisticModel> {
-        self.model.as_ref()
+        self.learner.model()
     }
 
     /// The current scorecard (factor order: History = ADR, Income = code).
     pub fn scorecard(&self) -> Option<Scorecard> {
-        self.model
-            .as_ref()
+        self.model()
             .map(|m| Scorecard::from_model(m, &["History", "Income"], self.cutoff))
     }
 
     /// Number of refits performed.
     pub fn refits(&self) -> usize {
-        self.refits
+        self.learner.refits()
     }
 
     /// Accumulated training-set size.
     pub fn training_size(&self) -> usize {
-        self.train_labels.len()
+        self.learner.training_size()
     }
 }
 
@@ -100,101 +89,48 @@ impl AiSystem for ScorecardLender {
         // A reused lender facing a differently sized population would
         // otherwise read another population's ADRs until the first
         // retrain resizes the state.
-        if self.prev_adr.len() != visible.row_count() {
-            self.prev_adr = vec![0.0; visible.row_count()];
-        }
+        self.learner.size_memory(visible.row_count());
         self.signals_full(k, visible, out);
     }
 
     fn retrain(&mut self, _k: usize, feedback: &Feedback) {
-        // Training rows pair the lender's *previous* knowledge of ADR with
-        // this step's income code and repayment outcome, offered users only.
-        if self.prev_adr.len() != feedback.actions.len() {
-            self.prev_adr = vec![0.0; feedback.actions.len()];
-        }
-        let code = feedback.visible.col(VISIBLE_INCOME_CODE);
-        for (i, &action) in feedback.actions.iter().enumerate() {
-            if feedback.signals[i] > 0.0 {
-                self.train_rows.push_row(&[self.prev_adr[i], code[i]]);
-                self.train_labels.push(action);
-            }
-        }
         // The filter's per-user output is ADR_i up to the feedback step —
         // which is exactly ADR_i(k−1) at the next decision.
-        self.prev_adr.clone_from(&feedback.per_user);
-
-        if !self.train_labels.is_empty() {
-            let data = eqimpact_ml::Dataset::from_columns(
-                &self.train_rows.col_slices(),
-                &self.train_labels,
-            )
-            .expect("rows built consistently");
-            if let Ok(model) = self.fitter.fit(&data) {
-                self.model = Some(model);
-                self.refits += 1;
-            }
-        }
+        self.learner.absorb(
+            &feedback.signals,
+            &feedback.actions,
+            feedback.visible.col(VISIBLE_INCOME_CODE),
+            &feedback.per_user,
+        );
     }
 
     fn checkpoint_into(&self, out: &mut ModelCheckpoint) -> bool {
-        out.push_field("prev_adr", &self.prev_adr);
-        if let Some(model) = &self.model {
-            out.push_scalar("model.intercept", model.intercept);
-            out.push_field("model.coefficients", &model.coefficients);
-            out.push_scalar("model.iterations", model.iterations as f64);
-            out.push_scalar("model.converged", if model.converged { 1.0 } else { 0.0 });
-        }
+        self.learner
+            .checkpoint_into("prev_adr", |name, values| out.push_field(name, values));
         true
     }
 
     fn restore_checkpoint(&mut self, checkpoint: &ModelCheckpoint) -> bool {
-        let Some(prev_adr) = checkpoint.field("prev_adr") else {
-            return false;
-        };
-        self.prev_adr.clear();
-        self.prev_adr.extend_from_slice(prev_adr);
-        // The model is present exactly when its intercept was captured;
-        // the training set stays untouched — decisions never read it.
-        self.model = checkpoint
-            .scalar("model.intercept")
-            .map(|intercept| LogisticModel {
-                intercept,
-                coefficients: checkpoint
-                    .field("model.coefficients")
-                    .unwrap_or(&[])
-                    .to_vec(),
-                iterations: checkpoint.scalar("model.iterations").unwrap_or(0.0) as usize,
-                converged: checkpoint.scalar("model.converged") == Some(1.0),
-            });
-        true
+        self.learner
+            .restore("prev_adr", |name| checkpoint.field(name))
     }
 }
 
 impl ShardableAi for ScorecardLender {
     fn signals_batch(&self, k: usize, visible: &ColsView<'_>, out: &mut [f64]) {
-        // Sized offers for everyone first; the scorecard then zeroes the
-        // denials in place.
+        // Past warmup the scorecard denies (a zero offer) every score
+        // below the cut-off; a NaN score approves. Before that, and while
+        // no scorecard exists, everyone gets a sized offer.
+        let scored = k >= self.warmup_steps
+            && self
+                .learner
+                .scores_into(visible.rows(), visible.col(VISIBLE_INCOME_CODE), out);
         for (o, &income) in out.iter_mut().zip(visible.col(VISIBLE_INCOME_K)) {
-            *o = self.multiple * income;
-        }
-        if k < self.warmup_steps {
-            return;
-        }
-        let Some(m) = &self.model else {
-            return; // no scorecard yet: keep approving
-        };
-        // Users beyond the last feedback carry a clean history (ADR 0),
-        // matching the retrain sizing.
-        let prev: Vec<f64> = visible
-            .rows()
-            .map(|i| self.prev_adr.get(i).copied().unwrap_or(0.0))
-            .collect();
-        let mut scores = vec![0.0; out.len()];
-        m.linear_scores_into(&[&prev, visible.col(VISIBLE_INCOME_CODE)], &mut scores);
-        for (o, &s) in out.iter_mut().zip(&scores) {
-            if s < self.cutoff {
-                *o = 0.0;
-            }
+            *o = if scored && *o < self.cutoff {
+                0.0
+            } else {
+                self.multiple * income
+            };
         }
     }
 }

@@ -3,7 +3,9 @@
 //! * [`AdaptiveScreener`] — the retrained logistic screener: hire
 //!   everyone for a warmup period, then refit a logistic model each round
 //!   on `(track_record, credential)` over past placements and hire by
-//!   cut-off — the hiring analog of the paper's scorecard lender;
+//!   cut-off — the hiring analog of the paper's scorecard lender. The
+//!   learning is the shared [`RetrainedLogistic`], the same one the
+//!   credit lender uses; this type adds the warmup and the cut-off;
 //! * [`CredentialScreener`] — the "most equal treatment" baseline: hire
 //!   exactly the credentialed, forever. Identical treatment of identical
 //!   visible features, unequal impact across races because credential
@@ -19,7 +21,8 @@ use eqimpact_core::checkpoint::ModelCheckpoint;
 use eqimpact_core::closed_loop::{AiSystem, Feedback};
 use eqimpact_core::features::FeatureMatrix;
 use eqimpact_core::shard::{ColsView, ShardableAi};
-use eqimpact_ml::logistic::{LogisticModel, LogisticRegression};
+use eqimpact_ml::logistic::LogisticModel;
+use eqimpact_ml::RetrainedLogistic;
 
 /// The default warmup: rounds during which everyone is hired before the
 /// first model exists.
@@ -32,16 +35,10 @@ pub const CUTOFF: f64 = 0.5;
 pub struct AdaptiveScreener {
     warmup_rounds: usize,
     cutoff: f64,
-    fitter: LogisticRegression,
-    /// `track_record_i(k−1)` as known to the screener (from the last
-    /// feedback); `1.0` (clean record) for applicants never seen.
-    prev_track: Vec<f64>,
-    /// Accumulated training rows `(track_record, credential)`, flat.
-    train_rows: FeatureMatrix,
-    /// Accumulated labels `y_i(j)` (hired applicants only).
-    train_labels: Vec<f64>,
-    model: Option<LogisticModel>,
-    refits: usize,
+    /// The model on `(track_record, credential)`; its memory is
+    /// `track_record_i(k−1)` as known to the screener, `1.0` (clean
+    /// record) for applicants never seen.
+    learner: RetrainedLogistic,
 }
 
 impl AdaptiveScreener {
@@ -55,28 +52,23 @@ impl AdaptiveScreener {
         AdaptiveScreener {
             warmup_rounds,
             cutoff,
-            fitter: LogisticRegression::default(),
-            prev_track: Vec::new(),
-            train_rows: FeatureMatrix::new(2),
-            train_labels: Vec::new(),
-            model: None,
-            refits: 0,
+            learner: RetrainedLogistic::new(1.0),
         }
     }
 
     /// The current model, if any retraining has happened.
     pub fn model(&self) -> Option<&LogisticModel> {
-        self.model.as_ref()
+        self.learner.model()
     }
 
     /// Number of refits performed.
     pub fn refits(&self) -> usize {
-        self.refits
+        self.learner.refits()
     }
 
     /// Accumulated training-set size.
     pub fn training_size(&self) -> usize {
-        self.train_labels.len()
+        self.learner.training_size()
     }
 }
 
@@ -88,96 +80,44 @@ impl AiSystem for AdaptiveScreener {
         // the `&self` sharded sweep cannot resize. This resize merely
         // keeps the sequential path from indexing another pool's records
         // until the first retrain, mirroring the credit lenders.
-        if self.prev_track.len() != visible.row_count() {
-            self.prev_track = vec![1.0; visible.row_count()];
-        }
+        self.learner.size_memory(visible.row_count());
         self.signals_full(k, visible, out);
     }
 
     fn retrain(&mut self, _k: usize, feedback: &Feedback) {
-        if self.prev_track.len() != feedback.actions.len() {
-            self.prev_track = vec![1.0; feedback.actions.len()];
-        }
-        // Training rows pair the screener's *previous* knowledge of the
-        // track record with this round's credential and outcome, hired
-        // applicants only.
-        let cred = feedback.visible.col(VISIBLE_CREDENTIAL);
-        for (i, &action) in feedback.actions.iter().enumerate() {
-            if feedback.signals[i] > 0.0 {
-                self.train_rows.push_row(&[self.prev_track[i], cred[i]]);
-                self.train_labels.push(action);
-            }
-        }
-        self.prev_track.clone_from(&feedback.per_user);
-
-        if !self.train_labels.is_empty() {
-            let data = eqimpact_ml::Dataset::from_columns(
-                &self.train_rows.col_slices(),
-                &self.train_labels,
-            )
-            .expect("rows built consistently");
-            if let Ok(model) = self.fitter.fit(&data) {
-                self.model = Some(model);
-                self.refits += 1;
-            }
-        }
+        self.learner.absorb(
+            &feedback.signals,
+            &feedback.actions,
+            feedback.visible.col(VISIBLE_CREDENTIAL),
+            &feedback.per_user,
+        );
     }
 
     fn checkpoint_into(&self, out: &mut ModelCheckpoint) -> bool {
-        out.push_field("prev_track", &self.prev_track);
-        if let Some(model) = &self.model {
-            out.push_scalar("model.intercept", model.intercept);
-            out.push_field("model.coefficients", &model.coefficients);
-            out.push_scalar("model.iterations", model.iterations as f64);
-            out.push_scalar("model.converged", if model.converged { 1.0 } else { 0.0 });
-        }
+        self.learner
+            .checkpoint_into("prev_track", |name, values| out.push_field(name, values));
         true
     }
 
     fn restore_checkpoint(&mut self, checkpoint: &ModelCheckpoint) -> bool {
-        let Some(prev_track) = checkpoint.field("prev_track") else {
-            return false;
-        };
-        self.prev_track.clear();
-        self.prev_track.extend_from_slice(prev_track);
-        // The model is present exactly when its intercept was captured;
-        // the training set stays untouched — decisions never read it.
-        self.model = checkpoint
-            .scalar("model.intercept")
-            .map(|intercept| LogisticModel {
-                intercept,
-                coefficients: checkpoint
-                    .field("model.coefficients")
-                    .unwrap_or(&[])
-                    .to_vec(),
-                iterations: checkpoint.scalar("model.iterations").unwrap_or(0.0) as usize,
-                converged: checkpoint.scalar("model.converged") == Some(1.0),
-            });
-        true
+        self.learner
+            .restore("prev_track", |name| checkpoint.field(name))
     }
 }
 
 impl ShardableAi for AdaptiveScreener {
     fn signals_batch(&self, k: usize, visible: &ColsView<'_>, out: &mut [f64]) {
-        if k < self.warmup_rounds || self.model.is_none() {
-            // Warmup, or no model yet: keep hiring.
-            for o in out.iter_mut() {
-                *o = 1.0;
-            }
+        // Warmup, or no model yet: keep hiring. A NaN score rejects.
+        if k < self.warmup_rounds
+            || !self
+                .learner
+                .scores_into(visible.rows(), visible.col(VISIBLE_CREDENTIAL), out)
+        {
+            out.fill(1.0);
             return;
         }
-        let m = self.model.as_ref().expect("checked above");
-        // Applicants beyond the last feedback carry a clean record,
-        // matching the retrain sizing; the whole lane is then scored in
-        // one batched pass.
-        let prev: Vec<f64> = visible
-            .rows()
-            .map(|i| self.prev_track.get(i).copied().unwrap_or(1.0))
-            .collect();
-        let mut scores = vec![0.0; out.len()];
-        m.linear_scores_into(&[&prev, visible.col(VISIBLE_CREDENTIAL)], &mut scores);
-        for (o, &s) in out.iter_mut().zip(&scores) {
-            *o = if s >= self.cutoff { 1.0 } else { 0.0 };
+        for o in out.iter_mut() {
+            *o = if *o >= self.cutoff { 1.0 } else { 0.0 };
         }
     }
 }

@@ -3,12 +3,12 @@
 //! Since the columnar feature-plane redesign the dataset keeps one flat
 //! buffer per feature column (struct-of-arrays) instead of a row-major
 //! [`eqimpact_linalg::Matrix`]. Training and scoring walk whole columns
-//! through the `eqimpact_linalg::kernels` batch primitives, and the hot
-//! retrain paths build datasets straight from
-//! `eqimpact_core::features::FeatureMatrix` column slices with
-//! [`Dataset::from_columns`] — no transpose, no per-row gather.
+//! through the `eqimpact_linalg::kernels` batch primitives. The hot
+//! retrain path ([`crate::learner`]) keeps one dataset for the whole run
+//! and appends each step's rows with [`Dataset::push_row`], so the
+//! accumulated corpus is validated once and never copied.
 
-use eqimpact_linalg::{kernels, Vector};
+use eqimpact_linalg::kernels;
 use std::fmt;
 
 /// Errors from dataset construction.
@@ -21,7 +21,7 @@ pub enum DatasetError {
         /// Number of labels.
         labels: usize,
     },
-    /// Rows have inconsistent widths.
+    /// A row's width differs from the others'.
     RaggedRows,
     /// The dataset has no rows.
     Empty,
@@ -61,13 +61,26 @@ impl std::error::Error for DatasetError {}
 
 /// A binary-labeled dataset: feature columns `X` (no intercept column — the
 /// model adds it) plus labels `y ∈ {0, 1}`.
+///
+/// The dataset is append-only: [`Self::push_row`] validates each row once
+/// and grows every column in place, so a corpus that accumulates feedback
+/// is never rebuilt.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Dataset {
     cols: Vec<Vec<f64>>,
-    y: Vector,
+    y: Vec<f64>,
 }
 
 impl Dataset {
+    /// An empty dataset with `width` feature columns, to grow with
+    /// [`Self::push_row`].
+    pub fn with_width(width: usize) -> Self {
+        Dataset {
+            cols: vec![Vec::new(); width],
+            y: Vec::new(),
+        }
+    }
+
     /// Builds a dataset from feature rows and binary labels.
     pub fn new(rows: &[Vec<f64>], labels: &[f64]) -> Result<Self, DatasetError> {
         if rows.is_empty() {
@@ -79,93 +92,32 @@ impl Dataset {
                 labels: labels.len(),
             });
         }
-        let width = rows[0].len();
-        if rows.iter().any(|r| r.len() != width) {
+        let mut data = Dataset::with_width(rows[0].len());
+        for (row, &label) in rows.iter().zip(labels) {
+            data.push_row(row, label)?;
+        }
+        Ok(data)
+    }
+
+    /// Appends one row with its label. A row whose width differs from the
+    /// dataset's, that holds a NaN or infinite feature, or whose label is
+    /// not 0 or 1 is rejected, and the dataset is left unchanged.
+    pub fn push_row(&mut self, row: &[f64], label: f64) -> Result<(), DatasetError> {
+        if row.len() != self.cols.len() {
             return Err(DatasetError::RaggedRows);
         }
-        let mut flat = Vec::with_capacity(rows.len() * width);
-        for r in rows {
-            flat.extend_from_slice(r);
+        let index = self.len();
+        if let Some(col) = row.iter().position(|v| !v.is_finite()) {
+            return Err(DatasetError::NonFiniteFeature { row: index, col });
         }
-        Self::from_flat_buffer(width, flat, labels)
-    }
-
-    /// Builds a dataset from an already-flat row-major feature buffer of
-    /// `labels.len()` rows by `width` columns, for callers that keep their
-    /// features flat.
-    pub fn from_flat(width: usize, flat: &[f64], labels: &[f64]) -> Result<Self, DatasetError> {
-        Self::from_flat_buffer(width, flat.to_vec(), labels)
-    }
-
-    /// Builds a dataset straight from per-feature column slices — the
-    /// zero-transpose constructor for columnar callers such as
-    /// `FeatureMatrix::col_slices()`. Each column must have
-    /// `labels.len()` entries.
-    pub fn from_columns(cols: &[&[f64]], labels: &[f64]) -> Result<Self, DatasetError> {
-        if labels.is_empty() {
-            return Err(DatasetError::Empty);
+        if label != 0.0 && label != 1.0 {
+            return Err(DatasetError::NonBinaryLabel { index });
         }
-        for col in cols {
-            if col.len() != labels.len() {
-                return Err(DatasetError::LengthMismatch {
-                    rows: col.len(),
-                    labels: labels.len(),
-                });
-            }
+        for (col, &v) in self.cols.iter_mut().zip(row) {
+            col.push(v);
         }
-        for i in 0..labels.len() {
-            for (j, col) in cols.iter().enumerate() {
-                if !col[i].is_finite() {
-                    return Err(DatasetError::NonFiniteFeature { row: i, col: j });
-                }
-            }
-        }
-        validate_labels(labels)?;
-        Ok(Dataset {
-            cols: cols.iter().map(|c| c.to_vec()).collect(),
-            y: Vector::from_slice(labels),
-        })
-    }
-
-    /// All cell and label validation for the row-major constructors lives
-    /// here; the validated buffer is then transposed once into the
-    /// column-major storage.
-    fn from_flat_buffer(
-        width: usize,
-        flat: Vec<f64>,
-        labels: &[f64],
-    ) -> Result<Self, DatasetError> {
-        if labels.is_empty() {
-            return Err(DatasetError::Empty);
-        }
-        if flat.len() != labels.len() * width {
-            return Err(DatasetError::LengthMismatch {
-                rows: flat.len() / width.max(1),
-                labels: labels.len(),
-            });
-        }
-        // When width == 0 the length check above forces `flat` empty, so
-        // the divisions below never see a zero width.
-        for (cell, &v) in flat.iter().enumerate() {
-            if !v.is_finite() {
-                return Err(DatasetError::NonFiniteFeature {
-                    row: cell / width,
-                    col: cell % width,
-                });
-            }
-        }
-        validate_labels(labels)?;
-        let n = labels.len();
-        let mut cols = vec![Vec::with_capacity(n); width];
-        for row in flat.chunks_exact(width.max(1)) {
-            for (col, &v) in cols.iter_mut().zip(row) {
-                col.push(v);
-            }
-        }
-        Ok(Dataset {
-            cols,
-            y: Vector::from_slice(labels),
-        })
+        self.y.push(label);
+        Ok(())
     }
 
     /// Number of observations.
@@ -173,9 +125,9 @@ impl Dataset {
         self.y.len()
     }
 
-    /// Whether the dataset has no rows (never true for constructed values).
+    /// Whether the dataset has no rows yet.
     pub fn is_empty(&self) -> bool {
-        self.y.len() == 0
+        self.y.is_empty()
     }
 
     /// Number of features (without intercept).
@@ -195,7 +147,7 @@ impl Dataset {
     }
 
     /// The labels.
-    pub fn labels(&self) -> &Vector {
+    pub fn labels(&self) -> &[f64] {
         &self.y
     }
 
@@ -207,27 +159,7 @@ impl Dataset {
 
     /// Fraction of positive labels.
     pub fn positive_rate(&self) -> f64 {
-        kernels::sum_seq(self.y.as_slice()) / self.y.len() as f64
-    }
-
-    /// Concatenates another dataset with the same width below this one —
-    /// the "accumulating the training data" filter of Fig. 1. Column-major
-    /// storage makes this a per-column `extend_from_slice`.
-    ///
-    /// # Panics
-    /// Panics when widths differ.
-    pub fn extend(&mut self, other: &Dataset) {
-        assert_eq!(
-            self.feature_count(),
-            other.feature_count(),
-            "Dataset::extend: width mismatch"
-        );
-        for (col, oc) in self.cols.iter_mut().zip(&other.cols) {
-            col.extend_from_slice(oc);
-        }
-        let mut labels: Vec<f64> = self.y.as_slice().to_vec();
-        labels.extend_from_slice(other.y.as_slice());
-        self.y = Vector::from_slice(&labels);
+        kernels::sum_seq(&self.y) / self.y.len() as f64
     }
 
     /// Per-column mean and standard deviation (population), used for
@@ -274,15 +206,6 @@ impl Dataset {
     }
 }
 
-fn validate_labels(labels: &[f64]) -> Result<(), DatasetError> {
-    for (i, &l) in labels.iter().enumerate() {
-        if l != 0.0 && l != 1.0 {
-            return Err(DatasetError::NonBinaryLabel { index: i });
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -297,12 +220,19 @@ mod tests {
 
     #[test]
     fn construction_and_accessors() {
-        let ds = toy();
+        let mut ds = toy();
         assert_eq!(ds.len(), 3);
         assert_eq!(ds.feature_count(), 2);
         assert_eq!(ds.row(1), &[3.0, 4.0]);
         assert!((ds.positive_rate() - 2.0 / 3.0).abs() < 1e-15);
         assert!(!ds.is_empty());
+        assert!(Dataset::with_width(2).is_empty());
+
+        ds.push_row(&[7.0, 8.0], 0.0).unwrap();
+        assert_eq!(ds.len(), 4);
+        assert_eq!(ds.row(3), &[7.0, 8.0]);
+        assert_eq!(ds.feature_col(0), &[1.0, 3.0, 5.0, 7.0]);
+        assert_eq!(ds.labels()[3], 0.0);
     }
 
     #[test]
@@ -313,34 +243,6 @@ mod tests {
         let cols = ds.feature_columns();
         assert_eq!(cols.len(), 2);
         assert_eq!(cols[1], &[2.0, 4.0, 6.0]);
-    }
-
-    #[test]
-    fn from_columns_matches_row_constructor() {
-        let by_rows = toy();
-        let by_cols =
-            Dataset::from_columns(&[&[1.0, 3.0, 5.0], &[2.0, 4.0, 6.0]], &[0.0, 1.0, 1.0]).unwrap();
-        assert_eq!(by_rows, by_cols);
-    }
-
-    #[test]
-    fn from_columns_rejects_invalid_inputs() {
-        assert_eq!(
-            Dataset::from_columns(&[], &[]).unwrap_err(),
-            DatasetError::Empty
-        );
-        assert!(matches!(
-            Dataset::from_columns(&[&[1.0, 2.0][..]], &[0.0]).unwrap_err(),
-            DatasetError::LengthMismatch { rows: 2, labels: 1 }
-        ));
-        assert!(matches!(
-            Dataset::from_columns(&[&[0.0][..], &[f64::NAN][..]], &[0.0]).unwrap_err(),
-            DatasetError::NonFiniteFeature { row: 0, col: 1 }
-        ));
-        assert!(matches!(
-            Dataset::from_columns(&[&[1.0][..]], &[0.25]).unwrap_err(),
-            DatasetError::NonBinaryLabel { index: 0 }
-        ));
     }
 
     #[test]
@@ -362,25 +264,27 @@ mod tests {
             Dataset::new(&[vec![f64::NAN]], &[0.0]).unwrap_err(),
             DatasetError::NonFiniteFeature { row: 0, col: 0 }
         ));
-    }
 
-    #[test]
-    fn extend_accumulates() {
-        let mut a = toy();
-        let b = Dataset::new(&[vec![7.0, 8.0]], &[0.0]).unwrap();
-        a.extend(&b);
-        assert_eq!(a.len(), 4);
-        assert_eq!(a.row(3), &[7.0, 8.0]);
-        assert_eq!(a.feature_col(0), &[1.0, 3.0, 5.0, 7.0]);
-        assert_eq!(a.labels()[3], 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "width mismatch")]
-    fn extend_rejects_width_mismatch() {
-        let mut a = toy();
-        let b = Dataset::new(&[vec![1.0]], &[0.0]).unwrap();
-        a.extend(&b);
+        // Appending reports the row the dataset would have given it, and
+        // a rejected row leaves the dataset unchanged.
+        let mut ds = toy();
+        assert_eq!(
+            ds.push_row(&[0.0, f64::NAN], 0.0).unwrap_err(),
+            DatasetError::NonFiniteFeature { row: 3, col: 1 }
+        );
+        assert_eq!(
+            ds.push_row(&[1.0, f64::INFINITY], 1.0).unwrap_err(),
+            DatasetError::NonFiniteFeature { row: 3, col: 1 }
+        );
+        assert_eq!(
+            ds.push_row(&[1.0, 2.0], 0.25).unwrap_err(),
+            DatasetError::NonBinaryLabel { index: 3 }
+        );
+        assert_eq!(
+            ds.push_row(&[1.0], 0.0).unwrap_err(),
+            DatasetError::RaggedRows
+        );
+        assert_eq!(ds, toy());
     }
 
     #[test]

@@ -6,9 +6,13 @@
 //! converts it into an explainable **scorecard** (Table I) with a cut-off
 //! that yields the binary credit decision `π(k, i)`.
 //!
-//! * [`dataset`] — design matrices with labels, standardization;
+//! * [`dataset`] — append-only design matrices with labels,
+//!   standardization;
 //! * [`logistic`] — binomial GLM with logit link, fitted by IRLS (Newton)
 //!   with an L2 ridge and a gradient-descent fallback;
+//! * [`learner`] — the retrained logistic learner both case studies
+//!   share: per-user memory, a growing corpus, a refit per feedback step
+//!   and its checkpoint fields;
 //! * [`scorecard`] — coefficient-to-scorecard conversion, cut-off
 //!   decisions, Table I rendering;
 //! * [`metrics`] — accuracy, AUC, log-loss, calibration.
@@ -34,11 +38,13 @@
 
 pub mod counterfactual;
 pub mod dataset;
+pub mod learner;
 pub mod logistic;
 pub mod metrics;
 pub mod scorecard;
 
 pub use counterfactual::{minimal_counterfactual, Counterfactual, FeatureBounds};
 pub use dataset::Dataset;
+pub use learner::RetrainedLogistic;
 pub use logistic::{LogisticModel, LogisticRegression, TrainError};
 pub use scorecard::{CreditDecision, Scorecard};

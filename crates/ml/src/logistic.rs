@@ -14,24 +14,18 @@ use std::fmt;
 /// Training-time failures.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TrainError {
+    /// The dataset has no rows yet.
+    EmptyDataset,
     /// All labels identical: the MLE does not exist without regularization.
     DegenerateLabels,
-    /// The optimizer failed to make progress (should not happen with the
-    /// gradient fallback; kept for API completeness).
-    NoProgress {
-        /// Iterations performed before giving up.
-        iterations: usize,
-    },
 }
 
 impl fmt::Display for TrainError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            TrainError::EmptyDataset => write!(f, "dataset has no rows"),
             TrainError::DegenerateLabels => {
                 write!(f, "all labels identical; add regularization or more data")
-            }
-            TrainError::NoProgress { iterations } => {
-                write!(f, "no optimization progress after {iterations} iterations")
             }
         }
     }
@@ -172,11 +166,15 @@ impl LogisticModel {
 impl LogisticRegression {
     /// Fits the model to a dataset.
     ///
-    /// Returns [`TrainError::DegenerateLabels`] when every label is
-    /// identical **and** no ridge is configured; with a positive ridge the
-    /// penalized MLE exists and is returned instead.
+    /// Returns [`TrainError::EmptyDataset`] when the dataset has no rows,
+    /// and [`TrainError::DegenerateLabels`] when every label is identical
+    /// **and** no ridge is configured; with a positive ridge the penalized
+    /// MLE exists and is returned instead.
     pub fn fit(&self, data: &Dataset) -> Result<LogisticModel, TrainError> {
         let n = data.len();
+        if n == 0 {
+            return Err(TrainError::EmptyDataset);
+        }
         let d = data.feature_count();
         let pos = data.positive_rate();
         if (pos == 0.0 || pos == 1.0) && self.ridge == 0.0 {
@@ -405,6 +403,37 @@ mod tests {
     }
 
     #[test]
+    fn empty_dataset_is_rejected() {
+        let err = LogisticRegression::default()
+            .fit(&Dataset::with_width(1))
+            .unwrap_err();
+        assert_eq!(err, TrainError::EmptyDataset);
+    }
+
+    #[test]
+    fn refit_on_a_grown_dataset_matches_a_fresh_one_bitwise() {
+        let all = synthetic(600, 0.3, &[1.2, -0.8], 11);
+        let fitter = LogisticRegression::default();
+        let mut grown = Dataset::with_width(2);
+        for i in 0..200 {
+            grown.push_row(&all.row(i), all.labels()[i]).unwrap();
+        }
+        fitter.fit(&grown).unwrap();
+        for i in 200..all.len() {
+            grown.push_row(&all.row(i), all.labels()[i]).unwrap();
+        }
+        let refit = fitter.fit(&grown).unwrap();
+        let fresh = fitter.fit(&all).unwrap();
+        assert_eq!(refit.intercept.to_bits(), fresh.intercept.to_bits());
+        let bits = |m: &LogisticModel| -> Vec<u64> {
+            m.coefficients.iter().map(|b| b.to_bits()).collect()
+        };
+        assert_eq!(bits(&refit), bits(&fresh));
+        assert_eq!(refit.iterations, fresh.iterations);
+        assert_eq!(refit.converged, fresh.converged);
+    }
+
+    #[test]
     fn paper_scorecard_shape_negative_history_positive_income() {
         // Simulate the paper's feature pattern: income code in {0, 1},
         // average default rate in [0, 1]; repayment more likely with income,
@@ -485,8 +514,6 @@ mod tests {
         assert!(TrainError::DegenerateLabels
             .to_string()
             .contains("identical"));
-        assert!(TrainError::NoProgress { iterations: 7 }
-            .to_string()
-            .contains('7'));
+        assert!(TrainError::EmptyDataset.to_string().contains("no rows"));
     }
 }

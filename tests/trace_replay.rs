@@ -14,8 +14,12 @@
 //!
 //! Equality is bit-level: the serialized JSON forms are compared too, so
 //! NaN-safe byte identity is what is asserted, not mere `PartialEq`.
+//!
+//! The deterministic tests also evaluate a policy off-policy against
+//! hand-written untrusted traces, which must report rather than panic.
 
 use eqimpact::core::closed_loop::LoopBuilder;
+use eqimpact::core::features::FeatureMatrix;
 use eqimpact::core::recorder::{LoopRecord, RecordPolicy};
 use eqimpact::core::scenario::Scale;
 use eqimpact::credit::sim as credit_sim;
@@ -25,7 +29,7 @@ use eqimpact::hiring::{AdaptiveScreener, HiringTracer, TrackRecordFilter};
 use eqimpact::stats::SimRng;
 use eqimpact::trace::scenario::TraceReplayer;
 use eqimpact::trace::{
-    RecordedPopulation, TraceHeader, TraceReader, TraceStepSink, FORMAT_VERSION,
+    RecordedPopulation, TraceHeader, TraceReader, TraceStepSink, TraceWriter, FORMAT_VERSION,
 };
 use proptest::prelude::*;
 
@@ -71,6 +75,47 @@ fn assert_byte_identical(original: &LoopRecord, replayed: &LoopRecord, what: &st
         replayed.to_json().render(),
         "{what}: serialized forms differ"
     );
+}
+
+/// What an untrusted trace can hold for an offered user at step 1:
+/// `(visible column 0, action)` — a NaN feature, or an action that is
+/// neither 0 nor 1.
+const UNTRUSTED: [(f64, f64); 2] = [(f64::NAN, 1.0), (1.0, 0.5)];
+
+/// A CRC-valid trace of 4 users over 4 steps at delay 1, everyone
+/// offered, with user 0's step-1 visible column 0 and action replaced by
+/// `untrusted`.
+fn untrusted_trace(scenario: &str, variant: &str, untrusted: (f64, f64)) -> Vec<u8> {
+    let header = TraceHeader {
+        version: FORMAT_VERSION,
+        scenario: scenario.to_string(),
+        variant: variant.to_string(),
+        trial: 0,
+        scale: Scale::Quick,
+        seed: 0,
+        shards: 1,
+        delay: 1,
+        policy: RecordPolicy::Full,
+        checkpoints: false,
+    };
+    let mut writer = TraceWriter::new(Vec::new(), &header).unwrap();
+    for k in 0..4 {
+        let mut visible = FeatureMatrix::from_nested(&[
+            vec![1.0, 60.0],
+            vec![0.0, 10.0],
+            vec![1.0, 40.0],
+            vec![0.0, 12.0],
+        ]);
+        let mut actions = vec![1.0, 0.0, 1.0, 0.0];
+        if k == 1 {
+            visible.set(0, 0, untrusted.0);
+            actions[0] = untrusted.1;
+        }
+        writer
+            .write_step(&visible, &[1.0; 4], &actions, &[0.0, 1.0, 0.0, 1.0])
+            .unwrap();
+    }
+    writer.finish().unwrap()
 }
 
 fn check_credit(users: usize, steps: usize, seed: u64, shards: usize) {
@@ -173,12 +218,26 @@ fn credit_replay_is_byte_identical_across_shard_counts() {
     for shards in SHARD_COUNTS {
         check_credit(90, 8, 41, shards);
     }
+    for untrusted in UNTRUSTED {
+        let bytes = untrusted_trace("credit", "scorecard", untrusted);
+        let mut input: &[u8] = &bytes;
+        let reader = TraceReader::new(&mut input as &mut dyn std::io::Read).unwrap();
+        let report = CreditTracer.evaluate(reader, "scorecard").unwrap();
+        assert_eq!((report.steps, report.users), (4, 4));
+    }
 }
 
 #[test]
 fn hiring_replay_is_byte_identical_across_shard_counts() {
     for shards in SHARD_COUNTS {
         check_hiring(90, 8, 23, shards);
+    }
+    for untrusted in UNTRUSTED {
+        let bytes = untrusted_trace("hiring", "adaptive", untrusted);
+        let mut input: &[u8] = &bytes;
+        let reader = TraceReader::new(&mut input as &mut dyn std::io::Read).unwrap();
+        let report = HiringTracer.evaluate(reader, "adaptive").unwrap();
+        assert_eq!((report.steps, report.users), (4, 4));
     }
 }
 
