@@ -639,28 +639,26 @@ fn bench_loop_step(c: &mut Criterion) {
 }
 
 fn bench_irls(c: &mut Criterion) {
-    let mut group = c.benchmark_group("perf/irls");
-    for &n in &[1_000usize, 10_000] {
-        let mut rng = SimRng::new(3);
-        let rows: Vec<Vec<f64>> = (0..n)
-            .map(|_| vec![rng.uniform(), rng.uniform_in(-1.0, 1.0)])
-            .collect();
-        let labels: Vec<f64> = rows
-            .iter()
-            .map(|r| {
-                if rng.bernoulli(sigmoid(-4.0 * r[0] + 3.0 * r[1])) {
-                    1.0
-                } else {
-                    0.0
-                }
-            })
-            .collect();
-        let data = Dataset::new(&rows, &labels).unwrap();
-        group.bench_with_input(BenchmarkId::new("fit", n), &data, |b, data| {
-            let fitter = LogisticRegression::default();
-            b.iter(|| fitter.fit(data).unwrap());
-        });
+    // Shaped like the retrained learner's corpus late in a paper-scale
+    // credit trial (1000 users × 19 steps): a memory in [0, 1] with few
+    // distinct values, a 0/1 code, 19k rows.
+    let mut rng = SimRng::new(3);
+    let mut data = Dataset::with_width(2);
+    for _ in 0..19_000 {
+        let memory = rng.index(5) as f64 / 4.0;
+        let code = if rng.bernoulli(0.7) { 1.0 } else { 0.0 };
+        let y = if rng.bernoulli(sigmoid(1.0 - 4.0 * memory + 2.5 * code)) {
+            1.0
+        } else {
+            0.0
+        };
+        data.push_row(&[memory, code], y).unwrap();
     }
+    let mut group = c.benchmark_group("perf/irls");
+    group.bench_with_input(BenchmarkId::new("fit", "learner_19k"), &data, |b, data| {
+        let fitter = LogisticRegression::default();
+        b.iter(|| fitter.fit(data).unwrap());
+    });
     group.finish();
 }
 

@@ -9,7 +9,7 @@
 //! credential), trained on the users who received a positive signal.
 //! [`RetrainedLogistic`] is that learner. It owns the IRLS fitter, the
 //! per-user memory with its clean value, an append-only [`Dataset`]
-//! corpus, the current model and the refit count; each lender keeps only
+//! corpus, the current model and its fit counts; each lender keeps only
 //! its warmup and decision rule.
 //!
 //! The learner reads plain slices and writes its checkpoint fields
@@ -47,6 +47,8 @@ pub struct RetrainedLogistic {
     corpus: Dataset,
     model: Option<LogisticModel>,
     refits: usize,
+    fit_errors: usize,
+    unconverged_fits: usize,
 }
 
 impl RetrainedLogistic {
@@ -59,6 +61,8 @@ impl RetrainedLogistic {
             corpus: Dataset::with_width(2),
             model: None,
             refits: 0,
+            fit_errors: 0,
+            unconverged_fits: 0,
         }
     }
 
@@ -70,6 +74,18 @@ impl RetrainedLogistic {
     /// Number of refits performed.
     pub fn refits(&self) -> usize {
         self.refits
+    }
+
+    /// Number of absorbed steps whose fit failed, keeping the previous
+    /// model (or none).
+    pub fn fit_errors(&self) -> usize {
+        self.fit_errors
+    }
+
+    /// Number of refits that stopped at the iteration limit before
+    /// converging; their model is still used.
+    pub fn unconverged_fits(&self) -> usize {
+        self.unconverged_fits
     }
 
     /// Rows in the accumulated corpus.
@@ -92,7 +108,9 @@ impl RetrainedLogistic {
     /// `(memory[i], feature[i])` with label `actions[i]`, pairing what the
     /// learner knew before the step with the step's feature and outcome.
     /// The memory then becomes `per_user`, and the model is refitted on
-    /// the whole corpus. A failed fit keeps the previous model.
+    /// the whole corpus. A failed fit keeps the previous model and counts
+    /// in [`Self::fit_errors`]; an unconverged one counts in
+    /// [`Self::unconverged_fits`].
     pub fn absorb(&mut self, signals: &[f64], actions: &[f64], feature: &[f64], per_user: &[f64]) {
         self.size_memory(actions.len());
         let steps = signals.iter().zip(actions).zip(feature);
@@ -104,9 +122,13 @@ impl RetrainedLogistic {
         }
         self.memory.clear();
         self.memory.extend_from_slice(per_user);
-        if let Ok(model) = self.fitter.fit(&self.corpus) {
-            self.model = Some(model);
-            self.refits += 1;
+        match self.fitter.fit(&self.corpus) {
+            Ok(model) => {
+                self.unconverged_fits += usize::from(!model.converged);
+                self.model = Some(model);
+                self.refits += 1;
+            }
+            Err(_) => self.fit_errors += 1,
         }
     }
 
@@ -213,6 +235,23 @@ mod tests {
         assert_eq!((learner.training_size(), learner.refits()), (3, 2));
         assert!(learner.scores_into(0..2, &[0.0, 1.0], &mut out));
         assert!(out[1] > out[0]);
+    }
+
+    #[test]
+    fn failed_and_unconverged_fits_are_counted() {
+        // No user offered: the corpus stays empty and the fit fails.
+        let mut learner = RetrainedLogistic::new(0.0);
+        learner.absorb(&[0.0; 3], &[1.0, 0.0, 1.0], &[1.0; 3], &[0.0; 3]);
+        assert_eq!((learner.fit_errors(), learner.refits()), (1, 0));
+        assert!(learner.model().is_none());
+
+        // A fit cut off after one iteration still refits, unconverged.
+        learner.fitter.max_iter = 1;
+        let actions = [0.0, 1.0, 0.0, 1.0];
+        learner.absorb(&[1.0; 4], &actions, &actions, &[0.0; 4]);
+        assert_eq!(learner.refits(), 1);
+        assert_eq!(learner.unconverged_fits(), 1);
+        assert!(!learner.model().unwrap().converged);
     }
 
     #[test]

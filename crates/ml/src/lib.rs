@@ -9,10 +9,11 @@
 //! * [`dataset`] — append-only design matrices with labels,
 //!   standardization;
 //! * [`logistic`] — binomial GLM with logit link, fitted by IRLS (Newton)
-//!   with an L2 ridge and a gradient-descent fallback;
+//!   with an L2 ridge and a gradient-descent fallback, one pass over the
+//!   rows per iteration;
 //! * [`learner`] — the retrained logistic learner both case studies
-//!   share: per-user memory, a growing corpus, a refit per feedback step
-//!   and its checkpoint fields;
+//!   share: per-user memory, a growing corpus, a refit per feedback step,
+//!   counts of failed and unconverged fits, and its checkpoint fields;
 //! * [`scorecard`] — coefficient-to-scorecard conversion, cut-off
 //!   decisions, Table I rendering;
 //! * [`metrics`] — accuracy, AUC, log-loss, calibration.

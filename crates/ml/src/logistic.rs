@@ -5,11 +5,22 @@
 //! `(Xᵀ W X + λI) δ = Xᵀ (y − p) − λβ` per iteration via Cholesky; when a
 //! Newton step fails (separation, degenerate weights) the fitter falls
 //! back to plain gradient ascent, so training always returns a model.
+//! Each iteration is one pass over the rows; its accumulation order is
+//! pinned on [`LogisticRegression::fit`], so fits are bit-reproducible.
 
 use crate::dataset::Dataset;
 use eqimpact_linalg::cholesky::solve_spd_with_ridge;
 use eqimpact_linalg::{kernels, Matrix, Vector};
 use std::fmt;
+
+/// Most feature columns [`LogisticRegression::fit`] accepts. Each IRLS
+/// iteration keeps its gradient and Hessian in fixed-size stack arrays of
+/// this many coefficients plus the intercept; a wider dataset gets
+/// [`TrainError::TooManyFeatures`].
+pub const MAX_FEATURES: usize = 15;
+
+/// Coefficients of the widest model: [`MAX_FEATURES`] plus the intercept.
+const MAX_COEFFICIENTS: usize = MAX_FEATURES + 1;
 
 /// Training-time failures.
 #[derive(Debug, Clone, PartialEq)]
@@ -18,6 +29,13 @@ pub enum TrainError {
     EmptyDataset,
     /// All labels identical: the MLE does not exist without regularization.
     DegenerateLabels,
+    /// The dataset has more feature columns than the fitter holds.
+    TooManyFeatures {
+        /// Feature columns in the dataset.
+        features: usize,
+        /// The most the fitter accepts, [`MAX_FEATURES`].
+        max: usize,
+    },
 }
 
 impl fmt::Display for TrainError {
@@ -26,6 +44,12 @@ impl fmt::Display for TrainError {
             TrainError::EmptyDataset => write!(f, "dataset has no rows"),
             TrainError::DegenerateLabels => {
                 write!(f, "all labels identical; add regularization or more data")
+            }
+            TrainError::TooManyFeatures { features, max } => {
+                write!(
+                    f,
+                    "dataset has {features} feature columns; at most {max} are supported"
+                )
             }
         }
     }
@@ -167,15 +191,45 @@ impl LogisticRegression {
     /// Fits the model to a dataset.
     ///
     /// Returns [`TrainError::EmptyDataset`] when the dataset has no rows,
-    /// and [`TrainError::DegenerateLabels`] when every label is identical
+    /// [`TrainError::TooManyFeatures`] when it has more than
+    /// [`MAX_FEATURES`] feature columns, and
+    /// [`TrainError::DegenerateLabels`] when every label is identical
     /// **and** no ridge is configured; with a positive ridge the penalized
     /// MLE exists and is returned instead.
+    ///
+    /// # Accumulation contract
+    /// Each iteration makes one pass over the rows in ascending order and
+    /// adds every row into the gradient `Xᵀ(y − p)` and the Hessian `XᵀWX`
+    /// at once, so each entry is a left fold over the rows in row order,
+    /// starting from +0.0. Per row, with `x₀ = 1` the intercept column:
+    /// - `η = ((0.0 + β₀) + β₁x₁) + β₂x₂ + …`, `p = σ(η)`,
+    ///   `w = max(p(1 − p), 1e-10)` and `r = y − p`;
+    /// - gradient entry `a` adds `r·x_a`;
+    /// - Hessian entry `(a, b)` adds `(x_a·w)·x_b`, upper triangle
+    ///   included: `(x_a·w)·x_b` can round differently from `(x_b·w)·x_a`,
+    ///   and the ridge retry in `solve_spd_with_ridge` reads every entry.
+    ///
+    /// After the pass the gradient gets `−λβ` and the Hessian diagonal
+    /// `max(λ, 1e-12)`. Any change to this order changes the fitted bits.
+    ///
+    /// A row whose `r` or `x_a·w` is zero adds a signed zero, and that
+    /// leaves a sum unchanged: features are finite, so the term is ±0, and
+    /// a sum that starts at +0.0 never becomes −0.0 under round-to-nearest.
+    /// Adding such terms thus gives the same bits as skipping them, and
+    /// adding them unconditionally keeps the pass free of the branch
+    /// mispredictions that the corpus's many zero features would cause.
     pub fn fit(&self, data: &Dataset) -> Result<LogisticModel, TrainError> {
         let n = data.len();
         if n == 0 {
             return Err(TrainError::EmptyDataset);
         }
         let d = data.feature_count();
+        if d > MAX_FEATURES {
+            return Err(TrainError::TooManyFeatures {
+                features: d,
+                max: MAX_FEATURES,
+            });
+        }
         let pos = data.positive_rate();
         if (pos == 0.0 || pos == 1.0) && self.ridge == 0.0 {
             return Err(TrainError::DegenerateLabels);
@@ -185,70 +239,58 @@ impl LogisticRegression {
         // ones, and the feature columns come straight from the columnar
         // dataset storage.
         let cols = data.feature_columns();
-        let xat = |i: usize, j: usize| if j == 0 { 1.0 } else { cols[j - 1][i] };
         let y = data.labels();
+        let k = d + 1;
 
-        let mut beta = Vector::zeros(d + 1);
+        let mut beta = Vector::zeros(k);
         // Warm start the intercept at the log-odds of the base rate.
         let p0 = pos.clamp(1e-6, 1.0 - 1e-6);
         beta[0] = (p0 / (1.0 - p0)).ln();
 
         let mut iterations = 0usize;
         let mut converged = false;
-        let mut eta = vec![0.0; n];
-        let mut p = vec![0.0; n];
-        let mut w = vec![0.0; n];
-        let mut resid = vec![0.0; n];
 
         for _ in 0..self.max_iter {
             iterations += 1;
-            // η = X β through the batch kernels: per element this is the
-            // same left fold as a row-major mat-vec, one column at a time.
-            kernels::fill(&mut eta, 0.0);
-            kernels::offset(&mut eta, beta[0]);
-            for (j, col) in cols.iter().enumerate() {
-                kernels::axpy(&mut eta, beta[j + 1], col);
-            }
-            // p = σ(X β); W = diag(p (1 - p)).
-            for i in 0..n {
-                p[i] = sigmoid(eta[i]);
-                w[i] = (p[i] * (1.0 - p[i])).max(1e-10);
-                resid[i] = y[i] - p[i];
-            }
-            // Gradient of penalized log-likelihood: Xᵀ(y − p) − λβ.
-            // Accumulates over rows in ascending order with a skip on
-            // zero residuals, exactly like the row-major transpose
-            // mat-vec it replaces (skipping vs adding a signed zero can
-            // differ bitwise, so the skip is part of the contract).
-            let mut grad = Vector::zeros(d + 1);
-            for a in 0..=d {
-                let mut acc = 0.0;
-                for (i, &vi) in resid.iter().enumerate() {
-                    if vi == 0.0 {
-                        continue;
-                    }
-                    acc += vi * xat(i, a);
+            let b = beta.as_slice();
+            let mut grad = [0.0; MAX_COEFFICIENTS];
+            let mut hess = [[0.0; MAX_COEFFICIENTS]; MAX_COEFFICIENTS];
+            let (grad_k, hess_k) = (&mut grad[..k], &mut hess[..k]);
+            // The design row (x₀ = 1, then the features), reused per row.
+            let mut design = [1.0; MAX_COEFFICIENTS];
+            for (i, &yi) in y.iter().enumerate() {
+                let x = &mut design[..k];
+                // `0.0 + β₀`, not `β₀`: the sum turns β₀ = −0.0 into +0.0.
+                let mut eta = 0.0 + b[0];
+                for ((xj, col), &bj) in x[1..].iter_mut().zip(&cols).zip(&b[1..]) {
+                    *xj = col[i];
+                    eta += bj * *xj;
                 }
-                grad[a] = acc;
+                let x = &*x;
+                let p = sigmoid(eta);
+                let w = (p * (1.0 - p)).max(1e-10);
+                let r = yi - p;
+                for (g, &xa) in grad_k.iter_mut().zip(x) {
+                    *g += r * xa;
+                }
+                for (h_row, &xa) in hess_k.iter_mut().zip(x) {
+                    let wa = xa * w;
+                    for (h, &xb) in h_row[..k].iter_mut().zip(x) {
+                        *h += wa * xb;
+                    }
+                }
             }
+            // Penalized gradient Xᵀ(y − p) − λβ and Hessian XᵀWX + λI.
+            let mut grad = Vector::from_slice(&grad[..k]);
             grad.axpy(-self.ridge, &beta).expect("same length");
-            // Hessian: Xᵀ W X + λI, same row-outer accumulation order as
-            // the dense design-matrix loop.
-            let mut h = Matrix::zeros(d + 1, d + 1);
-            for (i, &wi) in w.iter().enumerate() {
-                for a in 0..=d {
-                    let ra = xat(i, a) * wi;
-                    if ra == 0.0 {
-                        continue;
-                    }
-                    for b in 0..=d {
-                        h[(a, b)] += ra * xat(i, b);
-                    }
+            let ridge = self.ridge.max(1e-12);
+            let h = Matrix::from_fn(k, k, |a, c| {
+                if a == c {
+                    hess[a][c] + ridge
+                } else {
+                    hess[a][c]
                 }
-            }
-            for a in 0..=d {
-                h[(a, a)] += self.ridge.max(1e-12);
-            }
+            });
 
             let step = match solve_spd_with_ridge(&h, &grad, 1e3) {
                 Ok((s, _)) => s,
@@ -411,6 +453,22 @@ mod tests {
     }
 
     #[test]
+    fn too_wide_dataset_is_rejected() {
+        let wide = |width: usize| {
+            Dataset::new(&[vec![0.5; width], vec![-0.5; width]], &[1.0, 0.0]).unwrap()
+        };
+        let fitter = LogisticRegression::default();
+        assert!(fitter.fit(&wide(MAX_FEATURES)).unwrap().converged);
+        assert_eq!(
+            fitter.fit(&wide(MAX_FEATURES + 1)).unwrap_err(),
+            TrainError::TooManyFeatures {
+                features: MAX_FEATURES + 1,
+                max: MAX_FEATURES
+            }
+        );
+    }
+
+    #[test]
     fn refit_on_a_grown_dataset_matches_a_fresh_one_bitwise() {
         let all = synthetic(600, 0.3, &[1.2, -0.8], 11);
         let fitter = LogisticRegression::default();
@@ -509,11 +567,186 @@ mod tests {
         model.linear_score(&[1.0]);
     }
 
+    /// The fit's output as bits: intercept, coefficients, iterations and
+    /// the convergence flag.
+    fn fit_bits(fitter: LogisticRegression, data: &Dataset) -> (u64, Vec<u64>, usize, bool) {
+        let m = fitter.fit(data).unwrap();
+        let coefficients = m.coefficients.iter().map(|b| b.to_bits()).collect();
+        (
+            m.intercept.to_bits(),
+            coefficients,
+            m.iterations,
+            m.converged,
+        )
+    }
+
+    /// Shaped like the retrained learner's corpus: a memory in [0, 1]
+    /// with five distinct values (zero included) and a 0/1 code.
+    fn learner_shaped(n: usize, seed: u64) -> Dataset {
+        let mut rng = SimRng::new(seed);
+        let mut data = Dataset::with_width(2);
+        for _ in 0..n {
+            let memory = rng.index(5) as f64 / 4.0;
+            let code = if rng.bernoulli(0.7) { 1.0 } else { 0.0 };
+            let p = sigmoid(1.0 - 4.0 * memory + 2.5 * code);
+            let y = if rng.bernoulli(p) { 1.0 } else { 0.0 };
+            data.push_row(&[memory, code], y).unwrap();
+        }
+        data
+    }
+
+    /// Three features, each exactly zero on about half the rows.
+    fn sparse_features(n: usize, seed: u64) -> Dataset {
+        let mut rng = SimRng::new(seed);
+        let mut data = Dataset::with_width(3);
+        for _ in 0..n {
+            let mut x = [0.0; 3];
+            for v in &mut x {
+                if rng.bernoulli(0.5) {
+                    *v = rng.uniform_in(-2.0, 2.0);
+                }
+            }
+            let y = if rng.bernoulli(sigmoid(0.2 + x[0] - 0.5 * x[1])) {
+                1.0
+            } else {
+                0.0
+            };
+            data.push_row(&x, y).unwrap();
+        }
+        data
+    }
+
+    /// One feature: a noisy middle in [-1, 1] and saturated rows at
+    /// x = ±60, labelled by sign, whose |η| ends far past 40.
+    fn saturated(seed: u64) -> Dataset {
+        let mut rng = SimRng::new(seed);
+        let mut data = Dataset::with_width(1);
+        for i in 0..2_000 {
+            let x = rng.uniform_in(-1.0, 1.0);
+            let y = if rng.bernoulli(sigmoid(2.0 * x)) {
+                1.0
+            } else {
+                0.0
+            };
+            data.push_row(&[x], y).unwrap();
+            if i % 40 == 0 {
+                data.push_row(&[60.0], 1.0).unwrap();
+                data.push_row(&[-60.0], 0.0).unwrap();
+            }
+        }
+        data
+    }
+
+    /// Two columns equal up to one part in 10¹³, with values up to 100,
+    /// so that without a ridge `XᵀWX` is singular to working precision.
+    fn near_collinear(seed: u64) -> Dataset {
+        let mut rng = SimRng::new(seed);
+        let mut data = Dataset::with_width(2);
+        for _ in 0..2_000 {
+            let x = rng.uniform_in(-100.0, 100.0);
+            let y = if rng.bernoulli(sigmoid(0.03 * x)) {
+                1.0
+            } else {
+                0.0
+            };
+            data.push_row(&[x, x * (1.0 + 1e-13)], y).unwrap();
+        }
+        data
+    }
+
+    /// Pins `fit`'s output bits on six datasets. The values were recorded
+    /// with the earlier column-at-a-time iteration, which skipped zero
+    /// terms where the single pass adds them. The cases reach zero
+    /// `x_a·w` terms (learner, zero features), residuals of exactly 0
+    /// (saturated), the step clamp (learner, first iteration), and the
+    /// ridge retry in `solve_spd_with_ridge` (ridge retry, which also
+    /// never reaches the tolerance).
+    #[test]
+    fn fit_output_bits_are_pinned() {
+        let ridge_free = LogisticRegression {
+            ridge: 0.0,
+            ..Default::default()
+        };
+        let separated = Dataset::new(
+            &[vec![-2.0], vec![-1.0], vec![1.0], vec![2.0]],
+            &[0.0, 0.0, 1.0, 1.0],
+        )
+        .unwrap();
+        let default = LogisticRegression::default();
+        let cases = [
+            (
+                "learner",
+                default,
+                learner_shaped(19_000, 21),
+                (
+                    0x3ff109bfdd232965,
+                    vec![0xc010961737756094, 0x4004215ee16f2b49],
+                    7,
+                    true,
+                ),
+            ),
+            (
+                "one feature",
+                default,
+                synthetic(3_000, -0.4, &[1.3], 22),
+                (0xbfdd288ca66419ac, vec![0x3ff5b7a3e8f2f871], 6, true),
+            ),
+            (
+                "zero features",
+                default,
+                sparse_features(3_000, 23),
+                (
+                    0x3fc3d8c814947b89,
+                    vec![0x3ff029784d5410d2, 0xbfdd6aa20844e5ae, 0xbfa69d256eb89e78],
+                    6,
+                    true,
+                ),
+            ),
+            (
+                "saturated",
+                default,
+                saturated(24),
+                (0xbfb79440eaab3fb5, vec![0x40002e66e494310f], 10, true),
+            ),
+            (
+                "separated",
+                LogisticRegression {
+                    ridge: 0.1,
+                    ..Default::default()
+                },
+                separated,
+                (0xbca12ba16dfe8060, vec![0x4002379b34f7b59c], 7, true),
+            ),
+            (
+                "ridge retry",
+                ridge_free,
+                near_collinear(25),
+                (
+                    0xbf9d9d27792b0e43,
+                    vec![0x3fc72f1461a3e250, 0xbfc3917fb12802c3],
+                    100,
+                    false,
+                ),
+            ),
+        ];
+        for (name, fitter, data, want) in cases {
+            assert_eq!(fit_bits(fitter, &data), want, "{name}");
+        }
+    }
+
     #[test]
     fn train_error_display() {
         assert!(TrainError::DegenerateLabels
             .to_string()
             .contains("identical"));
         assert!(TrainError::EmptyDataset.to_string().contains("no rows"));
+        let wide = TrainError::TooManyFeatures {
+            features: 16,
+            max: 15,
+        };
+        assert_eq!(
+            wide.to_string(),
+            "dataset has 16 feature columns; at most 15 are supported"
+        );
     }
 }
